@@ -116,6 +116,36 @@ fn bench_event_queue(b: &mut Bench) {
         }
         popped
     });
+    b.run("queue_due_burst_4k", || {
+        // The conn_scale pattern: thousands of ranks schedule events into
+        // the ~1 µs slot the cursor is draining (half at one shared
+        // instant, half spread over the slot), with interleaved pops —
+        // every push lands in the front buffer.
+        let mut rng = SplitMix64::new(0xB0_0575);
+        let mut q = EventQueue::with_capacity(4096);
+        q.push(SimTime(0), 0u64);
+        black_box(q.pop());
+        let mut popped = 0u64;
+        for i in 1..=4096u64 {
+            let at = if i % 2 == 0 {
+                SimTime(512)
+            } else {
+                SimTime(rng.next_below(1024))
+            };
+            q.push(at, i);
+            if i % 4 == 0 {
+                if let Some(e) = q.pop() {
+                    black_box(e);
+                    popped += 1;
+                }
+            }
+        }
+        while let Some(e) = q.pop() {
+            black_box(e);
+            popped += 1;
+        }
+        popped
+    });
 }
 
 fn bench_data_plane(b: &mut Bench) {

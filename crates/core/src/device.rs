@@ -209,6 +209,81 @@ impl std::ops::IndexMut<usize> for ChannelTable {
     }
 }
 
+/// Ascending list of channel-table slots that satisfy one condition. The
+/// membership update is a binary search plus a shift of the (short) list.
+/// An empty list holds no allocation, so a rank whose channels are
+/// connected and idle holds no index memory.
+#[derive(Default)]
+struct SlotList(Vec<usize>);
+
+impl SlotList {
+    /// Make `slot` a member iff `member`.
+    fn set(&mut self, slot: usize, member: bool) {
+        match (self.0.binary_search(&slot), member) {
+            (Err(i), true) => self.0.insert(i, slot),
+            (Ok(i), false) => {
+                self.0.remove(i);
+                if self.0.is_empty() {
+                    self.0 = Vec::new();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The `i`-th member in ascending order.
+    #[inline]
+    fn get(&self, i: usize) -> Option<usize> {
+        self.0.get(i).copied()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().copied()
+    }
+
+    /// True when the list is exactly the ascending walk of `table` filtered
+    /// by `cond`.
+    fn equals_walk(&self, table: &ChannelTable, cond: impl Fn(&Channel) -> bool) -> bool {
+        self.iter().eq(table
+            .iter_entries()
+            .filter(|(_, c)| cond(c))
+            .map(|(s, _)| s))
+    }
+}
+
+/// Dirty-slot index: the channels the progress pass has to look at, kept
+/// up to date at every mutation of the condition each list tracks, so a
+/// pass costs O(dirty channels) instead of a walk over every materialized
+/// channel. The walks visit slots in ascending order, as the table walks
+/// they replace did, so the wire order is unchanged.
+#[derive(Default)]
+struct DirtySlots {
+    /// Slots whose send FIFO (`outq`) is non-empty.
+    pending: SlotList,
+    /// Slots in the `Connecting` state.
+    connecting: SlotList,
+    /// Slots whose owed credits reached the explicit-return threshold
+    /// (see [`Channel::credit_return_due`]).
+    owed: SlotList,
+}
+
+impl DirtySlots {
+    /// True when every list equals the full filtered table walk.
+    fn matches(&self, table: &ChannelTable, return_threshold: usize) -> bool {
+        self.pending.equals_walk(table, |c| !c.outq.is_empty())
+            && self
+                .connecting
+                .equals_walk(table, |c| c.state == ChanState::Connecting)
+            && self
+                .owed
+                .equals_walk(table, |c| c.credit_return_due(return_threshold))
+    }
+}
+
 impl Channel {
     fn new(peer: usize, stripe: usize) -> Self {
         Channel {
@@ -231,6 +306,13 @@ impl Channel {
             conn_attempts: 0,
             conn_begin: SimTime::ZERO,
         }
+    }
+
+    /// True once the owed credits reached the explicit-return threshold. The
+    /// threshold scales with the current window so a small dynamic window
+    /// still returns credits promptly, and is at least one credit.
+    fn credit_return_due(&self, threshold: usize) -> bool {
+        self.credits_owed >= threshold.min((self.bufs / 2).max(1)).max(1)
     }
 
     /// Length of the pre-posted/stalled send FIFO (observable in tests).
@@ -322,6 +404,8 @@ pub struct Device {
     /// Never-touched slots read as `Unconnected`, so rank memory is
     /// O(used channels), not O(np).
     pub channels: ChannelTable,
+    /// Which channels hold queued sends, are connecting, or owe credits.
+    dirty: DirtySlots,
     /// Matching queues.
     pub matcher: MatchEngine,
     reqs: HashMap<u64, ReqState>,
@@ -381,6 +465,7 @@ impl Device {
             cfg,
             port,
             channels: ChannelTable::new(stripes),
+            dirty: DirtySlots::default(),
             matcher: MatchEngine::new(),
             reqs: HashMap::new(),
             next_req: 1,
@@ -565,11 +650,7 @@ impl Device {
                 }
             }
         }
-        while self
-            .channels
-            .iter()
-            .any(|c| c.state == ChanState::Connecting)
-        {
+        while !self.dirty.connecting.is_empty() {
             let stamp = self.port.activity_stamp();
             if !self.conn_progress() {
                 self.conn_idle_wait(stamp);
@@ -705,6 +786,7 @@ impl Device {
         ch.credits = chunk;
         ch.state = ChanState::Connecting;
         ch.conn_attempts = 0;
+        self.dirty.connecting.set(slot, true);
         if self.cfg.trace {
             self.channels[slot].conn_begin = self.port.ctx().now();
         }
@@ -741,6 +823,8 @@ impl Device {
         ch.recvs_since_grow = 0;
         let bufs = ch.bufs;
         let peer = ch.peer;
+        let due = ch.credit_return_due(self.cfg.credit_return_threshold);
+        self.dirty.owed.set(slot, due);
         self.metrics.inc(mpi_metrics::CREDIT_GROWTHS);
         self.trace(crate::trace::TraceKind::PoolGrown { peer, bufs });
     }
@@ -796,6 +880,8 @@ impl Device {
         let ch = &mut self.channels[slot];
         ch.state = ChanState::Failed;
         ch.outq.clear();
+        self.dirty.pending.set(slot, false);
+        self.dirty.connecting.set(slot, false);
         for r in self.reqs.values_mut() {
             if r.peer == peer && !r.done {
                 r.done = true;
@@ -807,6 +893,7 @@ impl Device {
     /// Mark `slot` connected and drain its pre-posted send FIFO in order.
     fn finish_connect(&mut self, slot: usize) {
         self.channels[slot].state = ChanState::Connected;
+        self.dirty.connecting.set(slot, false);
         let peer = self.channels[slot].peer;
         let deferred = self.channels[slot].outq.len();
         self.trace(crate::trace::TraceKind::ConnEstablished { peer, deferred });
@@ -1071,6 +1158,7 @@ impl Device {
             frame,
             producer,
         });
+        // try_drain records the FIFO's final (non-)emptiness in the index.
         self.try_drain(slot);
     }
 
@@ -1078,10 +1166,7 @@ impl Device {
     /// credits + staging slots allow. Preserves FIFO order (§3.4) per
     /// stripe channel.
     fn try_drain(&mut self, slot: usize) {
-        if self.channels[slot].state != ChanState::Connected {
-            return;
-        }
-        loop {
+        while self.channels[slot].state == ChanState::Connected {
             let ch = &self.channels[slot];
             let Some(_head) = ch.outq.front() else { break };
             // Reserve the last credit for explicit credit returns.
@@ -1103,6 +1188,8 @@ impl Device {
             let msg = self.channels[slot].outq.pop_front().unwrap();
             self.send_wire(slot, msg.header, msg.frame, msg.producer);
         }
+        let queued = !self.channels[slot].outq.is_empty();
+        self.dirty.pending.set(slot, queued);
     }
 
     /// Transmit one wire message on the channel behind `slot`, consuming a
@@ -1116,6 +1203,10 @@ impl Device {
             let piggy = ch.credits_owed.min(255);
             ch.credits_owed -= piggy;
             ch.credits -= 1;
+            if piggy > 0 {
+                let due = ch.credit_return_due(self.cfg.credit_return_threshold);
+                self.dirty.owed.set(slot, due);
+            }
             (ch.vi.unwrap(), ch.peer, ch.stripe, sslot, piggy)
         };
         header.credits = piggy as u8;
@@ -1199,6 +1290,11 @@ impl Device {
     /// One non-blocking pass of the progress engine. Returns true if any
     /// visible progress was made.
     pub fn check_once(&mut self) -> bool {
+        debug_assert!(
+            self.dirty
+                .matches(&self.channels, self.cfg.credit_return_threshold),
+            "dirty-slot index out of step with the channel table"
+        );
         let mut progress = self.conn_progress();
 
         // Drain the completion queue.
@@ -1217,20 +1313,20 @@ impl Device {
             }
         }
 
-        // Drain any unblocked outgoing queues. Only materialized channels
-        // can hold queued messages, and draining one channel never affects
-        // another, so the sparse walk is behaviour-identical to the old
-        // dense 0..size scan.
-        let pending: Vec<usize> = self
-            .channels
-            .iter_entries()
-            .filter(|(_, c)| !c.outq.is_empty() && c.state == ChanState::Connected)
-            .map(|(p, _)| p)
-            .collect();
-        for slot in pending {
-            let before = self.channels[slot].outq.len();
-            self.try_drain(slot);
-            progress |= self.channels[slot].outq.len() != before;
+        // Drain any unblocked outgoing queues, in ascending slot order.
+        // Draining one channel never affects another and can only drop
+        // `slot` itself from the list, so the cursor stays put exactly when
+        // that happened.
+        let mut i = 0;
+        while let Some(slot) = self.dirty.pending.get(i) {
+            if self.channels[slot].state == ChanState::Connected {
+                let before = self.channels[slot].outq.len();
+                self.try_drain(slot);
+                progress |= self.channels[slot].outq.len() != before;
+            }
+            if self.dirty.pending.get(i) == Some(slot) {
+                i += 1;
+            }
         }
 
         // Explicit credit returns where piggybacking has stalled.
@@ -1260,19 +1356,13 @@ impl Device {
                 }
             }
         }
-        // Collected after the request-answering pass above so channels it
-        // just set up are promoted this round, exactly like the old dense
-        // scan. Only materialized channels can be `Connecting`.
-        let connecting: Vec<usize> = self
-            .channels
-            .iter_entries()
-            .filter(|(_, c)| c.state == ChanState::Connecting)
-            .map(|(p, _)| p)
-            .collect();
-        for slot in connecting {
-            if self.channels[slot].state != ChanState::Connecting {
-                continue;
-            }
+        // Walked after the request-answering pass above so channels it just
+        // set up are promoted this round. Promoting or failing a channel
+        // drops only `slot` itself from the list and nothing here adds to
+        // it, so the cursor stays put exactly when `slot` left.
+        let mut i = 0;
+        while let Some(slot) = self.dirty.connecting.get(i) {
+            debug_assert_eq!(self.channels[slot].state, ChanState::Connecting);
             let peer = self.channels[slot].peer;
             let vi = self.channels[slot].vi.unwrap();
             if self.port.vi_state(vi) == Ok(ViState::Connected) {
@@ -1307,6 +1397,9 @@ impl Device {
                 }
                 progress = true;
             }
+            if self.dirty.connecting.get(i) == Some(slot) {
+                i += 1;
+            }
         }
         progress
     }
@@ -1317,10 +1410,10 @@ impl Device {
         if !self.retries_enabled() {
             return None;
         }
-        self.channels
+        self.dirty
+            .connecting
             .iter()
-            .filter(|c| c.state == ChanState::Connecting)
-            .map(|c| c.conn_deadline)
+            .map(|slot| self.channels[slot].conn_deadline)
             .min()
     }
 
@@ -1356,38 +1449,36 @@ impl Device {
     /// the threshold (the piggyback path has stalled). Uses the reserved
     /// last credit, so it can always make progress.
     fn return_credits(&mut self) {
-        // Sending a credit message never changes another channel's owed
-        // count, so deciding every peer up front over the sparse table
-        // matches the old dense per-peer re-check.
-        let owing: Vec<usize> = self
-            .channels
-            .iter_entries()
-            .filter(|(_, ch)| {
-                // The return threshold scales with the current window so a
-                // small dynamic window still returns credits promptly.
-                let threshold = self.cfg.credit_return_threshold.min((ch.bufs / 2).max(1));
-                ch.state == ChanState::Connected
-                    && ch.credits_owed >= threshold
-                    && ch.credits >= 1
-                    && !ch.free_send_slots.is_empty()
-            })
-            .map(|(p, _)| p)
-            .collect();
-        for slot in owing {
-            let header = Header {
-                kind: MsgKind::Credit,
-                credits: 0,
-                context: 0,
-                src: self.rank as u32,
-                tag: 0,
-                aux1: 0,
-                aux2: 0,
-                len: 0,
-            };
-            self.metrics.inc(mpi_metrics::CREDIT_MSGS);
-            let frame = self.pool.alloc(HEADER_LEN);
-            let producer = self.cur_thread as u32;
-            self.send_wire(slot, header, frame, producer);
+        // Sending a credit message never changes another channel's state,
+        // so deciding each listed slot as the ascending walk reaches it
+        // matches deciding them all up front. The send can drop only `slot`
+        // itself from the list (it piggybacks the owed count).
+        let mut i = 0;
+        while let Some(slot) = self.dirty.owed.get(i) {
+            // Listed means the owed count reached the return threshold.
+            let ch = &self.channels[slot];
+            let due = ch.state == ChanState::Connected
+                && ch.credits >= 1
+                && !ch.free_send_slots.is_empty();
+            if due {
+                let header = Header {
+                    kind: MsgKind::Credit,
+                    credits: 0,
+                    context: 0,
+                    src: self.rank as u32,
+                    tag: 0,
+                    aux1: 0,
+                    aux2: 0,
+                    len: 0,
+                };
+                self.metrics.inc(mpi_metrics::CREDIT_MSGS);
+                let frame = self.pool.alloc(HEADER_LEN);
+                let producer = self.cur_thread as u32;
+                self.send_wire(slot, header, frame, producer);
+            }
+            if self.dirty.owed.get(i) == Some(slot) {
+                i += 1;
+            }
         }
     }
 
@@ -1461,6 +1552,8 @@ impl Device {
             ch.recv_slots.push_back(rslot);
             ch.credits_owed += 1;
             ch.recvs_since_grow += 1;
+            let due = ch.credit_return_due(self.cfg.credit_return_threshold);
+            self.dirty.owed.set(slot, due);
             self.cfg.dynamic_credits
                 && ch.bufs < self.cfg.num_bufs
                 && ch.recvs_since_grow >= ch.bufs as u64
@@ -1650,6 +1743,11 @@ impl Device {
                 .iter()
                 .all(|c| c.outq.is_empty() && c.inflight.is_empty())
         });
+        debug_assert!(
+            self.dirty
+                .matches(&self.channels, self.cfg.credit_return_threshold),
+            "dirty-slot index out of step with the channel table"
+        );
         self.bootstrap_sync();
     }
 

@@ -2,7 +2,7 @@
 //! window, bidirectional floods, explicit credit returns, and starvation
 //! freedom.
 
-use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
+use viampi_core::{ChanState, ConnMode, Device, TraceKind, Universe, WaitPolicy};
 
 fn quiet(np: usize) -> Universe {
     let mut u = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
@@ -172,4 +172,79 @@ fn mixed_sizes_interleaved_heavily() {
         })
         .unwrap();
     assert!(report.results.iter().all(|&ok| ok));
+}
+
+#[test]
+fn dirty_slot_index_drains_to_empty() {
+    // Drive all three lists of the device's dirty-slot index (queued
+    // sends, connecting channels, credits due for return): a credit stall
+    // with queued sends on a static np=16 mesh, then on-demand connects
+    // with sends deferred in the pre-posted FIFO. Debug builds cross-check
+    // the index against a full channel-table walk on every progress pass
+    // and after `finalize`; the snapshots taken after `finalize` show no
+    // channel left in any list's condition, so every list is empty.
+    let np = 16;
+    let burst = 40u32; // well past the 15-credit window
+    for conn in [ConnMode::StaticPeerToPeer, ConnMode::OnDemand] {
+        let mut uni = Universe::new(np, Device::Clan, conn, WaitPolicy::Polling);
+        uni.config_mut().os_noise = false;
+        uni.config_mut().trace = true;
+        let threshold = uni.config().credit_return_threshold;
+        let report = uni
+            .run(move |mpi| {
+                let rank = mpi.rank();
+                let dsts = [(rank + 1) % np, (rank + 5) % np];
+                let srcs = [(rank + np - 1) % np, (rank + np - 5) % np];
+                let sends: Vec<_> = dsts
+                    .iter()
+                    .flat_map(|&d| (0..burst).map(move |i| (d, i)))
+                    .map(|(d, i)| mpi.isend(&i.to_le_bytes(), d, 3))
+                    .collect();
+                let ok = srcs.iter().all(|&s| {
+                    (0..burst).all(|i| {
+                        let (d, _) = mpi.recv(Some(s), Some(3));
+                        u32::from_le_bytes(d.try_into().unwrap()) == i
+                    })
+                });
+                mpi.waitall(&sends);
+                ok
+            })
+            .unwrap();
+        assert!(report.results.iter().all(|&ok| ok), "{conn:?}: payloads");
+        let stalls = report
+            .ranks
+            .iter()
+            .flat_map(|r| &r.trace)
+            .filter(|e| matches!(e.kind, TraceKind::CreditStall { .. }))
+            .count();
+        assert!(stalls > 0, "{conn:?}: sends queued behind a credit stall");
+        let credit_msgs: u64 = report.ranks.iter().map(|r| r.mpi.credit_msgs).sum();
+        assert!(credit_msgs > 0, "{conn:?}: explicit credit returns");
+        let deferred: u64 = report.ranks.iter().map(|r| r.mpi.fifo_deferred_sends).sum();
+        match conn {
+            ConnMode::OnDemand => assert!(deferred > 0, "sends deferred while connecting"),
+            _ => assert_eq!(deferred, 0, "static mesh is connected before the body"),
+        }
+        for r in &report.ranks {
+            assert_eq!(
+                r.channels.len(),
+                if conn == ConnMode::OnDemand {
+                    4
+                } else {
+                    np - 1
+                }
+            );
+            for c in &r.channels {
+                let what = format!("{conn:?}: rank {} peer {}", r.rank, c.peer);
+                assert_eq!(c.pending, 0, "{what}: send FIFO drained");
+                assert_eq!(
+                    c.state,
+                    ChanState::Connected,
+                    "{what}: no channel connecting"
+                );
+                let return_at = threshold.min((c.bufs / 2).max(1)).max(1);
+                assert!(c.credits_owed < return_at, "{what}: no credit return due");
+            }
+        }
+    }
 }

@@ -150,7 +150,7 @@ pub mod engine {
             SHARD_LBTS_ROUNDS => "sim.shard.lbts_rounds": "Lower-bound-timestamp merge rounds taken by the sharded scheduler",
             SHARD_CROSS_SENDS => "sim.shard.cross_sends": "Events routed across shards through SPSC mailboxes",
             SHARD_STALLS => "sim.shard.stalls": "Shards observed blocked past the lookahead horizon during LBTS rounds",
-            WHEEL_DUE => "sim.wheel.push_due": "Events merged straight into the sorted due buffer",
+            WHEEL_DUE => "sim.wheel.push_due": "Events pushed straight into the due front-buffer heap",
             WHEEL_L0 => "sim.wheel.push_l0": "Events filed in a level-0 wheel slot",
             WHEEL_L1 => "sim.wheel.push_l1": "Events filed in a level-1 wheel slot",
             WHEEL_OVERFLOW => "sim.wheel.push_overflow": "Events parked in the far-future overflow heap",

@@ -6,19 +6,26 @@
 //! the order they were scheduled, which makes the whole simulation
 //! deterministic.
 //!
-//! Layout: a sorted `due` buffer holds the events of the earliest non-empty
-//! slot (global minimum always at its tail, so [`EventQueue::peek_time`] and
-//! [`EventQueue::pop`] are `O(1)`); two wheel levels of 256 slots each cover
-//! ~262 µs at ~1 µs granularity (level 0) and ~67 ms at ~262 µs granularity
-//! (level 1); everything beyond the level-1 horizon parks in a binary-heap
-//! overflow level and is cascaded in as the cursor reaches it. Occupancy
-//! bitmaps make the slot scans branch-light, and [`EventQueue::clear`] keeps
-//! every backing allocation (and the insertion counter) so drain/refill
-//! cycles do not reallocate.
+//! Layout: a `due` front buffer holds the events of the earliest non-empty
+//! slot as a binary min-heap on `(time, seq)`: the minimum sits at `due[0]`,
+//! so [`EventQueue::peek_time`], [`EventQueue::peek_key`] and the limit test
+//! of [`EventQueue::pop_due`] are `O(1)`, while a pop and a push into the
+//! slot being drained are `O(log n)` — a burst of thousands of events
+//! landing in the current ~1 µs slot shifts no buffer. A refill of `due`
+//! from a wheel slot sorts it ascending, and a sorted array is already a
+//! valid min-heap. Two wheel levels of 256 slots each cover ~262 µs at
+//! ~1 µs granularity (level 0) and ~67 ms at ~262 µs granularity (level 1);
+//! everything beyond the level-1 horizon parks in a binary-heap overflow
+//! level (the same heap routines as `due`) and is cascaded in as the cursor
+//! reaches it. Occupancy bitmaps make the slot scans branch-light, and
+//! [`EventQueue::clear`] keeps every backing allocation (and the insertion
+//! counter) so drain/refill cycles do not reallocate.
 //!
 //! The pop order is exactly the `(time, seq)` min-heap order of the previous
-//! binary-heap implementation — `random_fill_drains_sorted_and_stable` and
-//! `wheel_matches_reference_heap` below pin that equivalence.
+//! binary-heap implementation: keys are unique, so any correct min-heap
+//! pops them in the same order — `random_fill_drains_sorted_and_stable`,
+//! `wheel_matches_reference_heap` and `due_burst_matches_reference_heap`
+//! below pin that equivalence.
 
 use crate::time::SimTime;
 
@@ -52,7 +59,7 @@ impl<E> Entry<E> {
 /// published by the engine as the `sim.wheel.*` metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WheelStats {
-    /// Pushes that landed directly in the sorted `due` buffer.
+    /// Pushes that landed directly in the `due` front-buffer heap.
     pub push_due: u64,
     /// Pushes routed to a level-0 wheel slot.
     pub push_l0: u64,
@@ -66,8 +73,8 @@ pub struct WheelStats {
 
 /// Min-queue of timestamped events with FIFO tie-breaking.
 pub struct EventQueue<E> {
-    /// Events of the earliest slot, sorted *descending* by `(time, seq)` so
-    /// the global minimum is `due.last()`.
+    /// Events of the earliest slot: a binary min-heap on `(time, seq)`, so
+    /// the global minimum is `due[0]`.
     due: Vec<Entry<E>>,
     /// Exclusive upper bound on the times `due` is responsible for; wheel
     /// and overflow events are all `>= due_limit`.
@@ -83,7 +90,7 @@ pub struct EventQueue<E> {
     occ1: [u64; OCC_WORDS],
     len0: usize,
     len1: usize,
-    /// Far-future overflow: hand-rolled binary min-heap on `(time, seq)`.
+    /// Far-future overflow: binary min-heap on `(time, seq)`.
     overflow: Vec<Entry<E>>,
     next_seq: u64,
     peak: usize,
@@ -178,11 +185,9 @@ impl<E> EventQueue<E> {
             event,
         };
         if at < self.due_limit {
-            // The cursor has already passed this event's slot: merge it into
-            // the sorted front buffer (descending, so the min stays last).
-            let key = e.key();
-            let idx = self.due.partition_point(|d| d.key() > key);
-            self.due.insert(idx, e);
+            // The cursor has already passed this event's slot: push it onto
+            // the front-buffer heap.
+            heap_push(&mut self.due, e);
             self.stats.push_due += 1;
         } else {
             self.route(e);
@@ -199,7 +204,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.due.last().map(|e| e.time)
+        self.due.first().map(|e| e.time)
     }
 
     /// Full `(time, seq)` key of the earliest pending event, if any — the
@@ -207,12 +212,12 @@ impl<E> EventQueue<E> {
     /// globally earliest wheel head.
     #[inline]
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.due.last().map(|e| e.key())
+        self.due.first().map(|e| e.key())
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.due.pop()?;
+        let e = heap_pop(&mut self.due)?;
         if self.due.is_empty() && !self.wheels_empty() {
             self.advance();
         }
@@ -223,7 +228,7 @@ impl<E> EventQueue<E> {
     /// `limit` — the scheduler's peek-then-pop collapsed into one call.
     #[inline]
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match self.due.last() {
+        match self.due.first() {
             Some(e) if e.time <= limit => self.pop(),
             _ => None,
         }
@@ -310,7 +315,7 @@ impl<E> EventQueue<E> {
                 self.len1 += 1;
                 self.stats.push_l1 += 1;
             } else {
-                self.heap_push(e);
+                heap_push(&mut self.overflow, e);
                 self.stats.push_overflow += 1;
             }
         }
@@ -339,7 +344,7 @@ impl<E> EventQueue<E> {
         }
         let bound = SimTime((a + 1) << SHIFT1);
         while self.overflow.first().is_some_and(|e| e.time < bound) {
-            let e = self.heap_pop();
+            let e = heap_pop(&mut self.overflow).expect("non-empty");
             debug_assert!(e.time >= self.due_limit);
             let p = ((e.time.0 >> SHIFT0) & MASK) as usize;
             self.wheel0[p].push(e);
@@ -369,10 +374,9 @@ impl<E> EventQueue<E> {
                 std::mem::swap(&mut self.due, &mut self.wheel0[p]);
                 bit_clear(&mut self.occ0, p);
                 self.len0 -= self.due.len();
-                // Descending sort so the minimum pops from the tail. Keys
-                // are unique (seq), so unstable sort is deterministic.
-                self.due
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                // An ascending array is already a valid min-heap. Keys are
+                // unique (seq), so unstable sort is deterministic.
+                self.due.sort_unstable_by_key(|e| e.key());
                 self.cur_slot0 = abs0 + 1;
                 self.due_limit = SimTime(self.cur_slot0 << SHIFT0);
                 return;
@@ -408,53 +412,58 @@ impl<E> EventQueue<E> {
             // surfaces the earliest slot.
         }
     }
+}
 
-    // --- overflow heap (min on (time, seq)) ------------------------------
+// --- binary min-heap on (time, seq), shared by `due` and `overflow` ---------
 
-    fn heap_push(&mut self, e: Entry<E>) {
-        self.overflow.push(e);
-        self.sift_up(self.overflow.len() - 1);
+/// Push `e` onto the min-heap `h`: `O(log n)`, and `O(1)` when `e` sorts
+/// after its parent (the common case of a later event).
+fn heap_push<E>(h: &mut Vec<Entry<E>>, e: Entry<E>) {
+    h.push(e);
+    let last = h.len() - 1;
+    sift_up(h, last);
+}
+
+/// Remove the minimum of the min-heap `h`: `O(log n)`. The last entry
+/// takes the root's place and walks down along the smaller children to a
+/// leaf (one comparison per level), then sifts back up — usually not far,
+/// since it came from the bottom.
+fn heap_pop<E>(h: &mut Vec<Entry<E>>) -> Option<Entry<E>> {
+    if h.is_empty() {
+        return None;
     }
-
-    fn heap_pop(&mut self) -> Entry<E> {
-        let last = self.overflow.len() - 1;
-        self.overflow.swap(0, last);
-        let e = self.overflow.pop().expect("non-empty");
-        if !self.overflow.is_empty() {
-            self.sift_down(0);
-        }
-        e
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.overflow[i].key() >= self.overflow[parent].key() {
-                break;
-            }
-            self.overflow.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.overflow.len();
+    let min = h.swap_remove(0);
+    let n = h.len();
+    if n > 1 {
+        let mut i = 0;
         loop {
             let l = 2 * i + 1;
             if l >= n {
                 break;
             }
-            let r = l + 1;
-            let mut smallest = l;
-            if r < n && self.overflow[r].key() < self.overflow[l].key() {
-                smallest = r;
-            }
-            if self.overflow[smallest].key() >= self.overflow[i].key() {
-                break;
-            }
-            self.overflow.swap(i, smallest);
-            i = smallest;
+            let c = if l + 1 < n && h[l + 1].key() < h[l].key() {
+                l + 1
+            } else {
+                l
+            };
+            h.swap(i, c);
+            i = c;
         }
+        sift_up(h, i);
+    }
+    Some(min)
+}
+
+/// Move `h[i]` up until its parent is smaller.
+fn sift_up<E>(h: &mut [Entry<E>], mut i: usize) {
+    let key = h[i].key();
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if key > h[parent].key() {
+            break;
+        }
+        h.swap(i, parent);
+        i = parent;
     }
 }
 
@@ -562,6 +571,54 @@ mod tests {
                 .min_by_key(|(_, &k)| k)
                 .map(|(i, _)| i)?;
             Some(self.v.remove(i))
+        }
+        fn peek(&self) -> Option<(SimTime, u64)> {
+            self.v.iter().min().copied()
+        }
+    }
+
+    #[test]
+    fn due_burst_matches_reference_heap() {
+        // The conn_scale pattern: thousands of events landing in the slot
+        // the cursor is draining (all times below its 1024 ns limit), at
+        // one shared instant and interleaved over the slot, with pop_due
+        // interleaved. Every push lands in the front-buffer heap.
+        let mut rng = SplitMix64::new(0xB0_0575);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut r = RefHeap::new();
+        q.push(SimTime(0), r.seq);
+        r.push(SimTime(0));
+        assert_eq!(q.pop(), r.pop(), "load the first slot");
+        for i in 0..4096u64 {
+            let at = match i % 3 {
+                0 => SimTime(700),
+                1 => SimTime(300 + i % 11),
+                _ => SimTime(rng.next_below(1024)),
+            };
+            q.push(at, r.seq);
+            r.push(at);
+            assert_eq!(q.peek_key(), r.peek(), "push {i}");
+            if rng.next_below(3) == 0 {
+                let limit = SimTime(rng.next_below(1024));
+                let want = match r.peek() {
+                    Some((t, _)) if t <= limit => r.pop(),
+                    _ => None,
+                };
+                assert_eq!(q.pop_due(limit), want, "pop_due after push {i}");
+            }
+        }
+        assert_eq!(
+            q.wheel_stats().push_due,
+            4096,
+            "every push hit the front buffer"
+        );
+        assert_eq!(q.len(), r.v.len());
+        loop {
+            let got = q.pop();
+            assert_eq!(got, r.pop(), "drain");
+            if got.is_none() {
+                break;
+            }
         }
     }
 

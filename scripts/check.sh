@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, and the tier-1 build/test pair, all
-# offline (the build environment has no crate registry — see DESIGN.md §3)
-# and --locked, so a drifted Cargo.lock fails loudly instead of resolving.
+# Pre-PR gate: formatting, lints, the tier-1 build/test pair and the
+# simbench correctness gate, all offline (the build environment has no
+# crate registry — see DESIGN.md §3) and --locked, so a drifted
+# Cargo.lock fails loudly instead of resolving.
 #
 # Usage:
 #   scripts/check.sh                       # the full gate (default)
@@ -81,6 +82,12 @@ cargo build --release --offline --locked
 
 echo "== tier-1: cargo test -q (offline, full workspace)"
 cargo test -q --offline --locked --workspace
+
+echo "== simbench: smoke test + reference-equality gate (release)"
+# The benchmark's own tests: every workload's reference pass must equal
+# the committed results/*.json bytes, so a hot-path change that breaks
+# byte-identity fails here, before the PR.
+cargo test --release --offline --locked --manifest-path simbench/Cargo.toml
 
 echo "== determinism suite under the parallel engine (VIAMPI_PAR=2)"
 # Subshell: the mode's exported environment must not leak into later stages.
