@@ -212,63 +212,6 @@ fn bench_engine(b: &mut Bench) {
         });
         eng.run().unwrap()
     });
-    // An 8-process compute+token ring under the conservative parallel
-    // mode (VIAMPI_PAR=8 equivalent): guards the pre-release/promotion
-    // overhead against the serial schedule it must reproduce exactly.
-    b.run("par_ring_np8", || {
-        let mut eng = Engine::new(Nop);
-        eng.set_par(Some(8));
-        eng.set_lookahead(SimDuration::micros(2));
-        for p in 0..8 {
-            eng.spawn(format!("p{p}"), |ctx| {
-                for _ in 0..200 {
-                    for _ in 0..16 {
-                        ctx.advance(SimDuration::nanos(40));
-                    }
-                    ctx.yield_now();
-                }
-            });
-        }
-        eng.run().unwrap()
-    });
-    // A 64-process compute+token ring partitioned across 4 shards: guards
-    // the sharded scheduler's drain/merge/grant path (per-shard wheels and
-    // ready heaps merged in global (time, seq) order) against the serial
-    // schedule it must reproduce byte-for-byte.
-    b.run("shard_ring_np64", || {
-        let mut eng = Engine::new(Nop);
-        eng.set_shards(Some(4));
-        eng.set_lookahead(SimDuration::micros(2));
-        for p in 0..64 {
-            eng.spawn(format!("p{p}"), |ctx| {
-                for _ in 0..25 {
-                    for _ in 0..16 {
-                        ctx.advance(SimDuration::nanos(40));
-                    }
-                    ctx.yield_now();
-                }
-            });
-        }
-        eng.run().unwrap()
-    });
-    // Worst-case LBTS merge: one process per shard, so every grant scans
-    // all W wheel heads and ready heaps for the global minimum — the
-    // per-round cost of the conservative merge, isolated from any real
-    // workload.
-    b.run("shard_lbts_round", || {
-        let mut eng = Engine::new(Nop);
-        eng.set_shards(Some(8));
-        eng.set_lookahead(SimDuration::micros(2));
-        for p in 0..8 {
-            eng.spawn(format!("p{p}"), |ctx| {
-                for _ in 0..250 {
-                    ctx.advance(SimDuration::nanos(20));
-                    ctx.yield_now();
-                }
-            });
-        }
-        eng.run().unwrap()
-    });
 }
 
 fn main() {

@@ -8,12 +8,8 @@
 //! ```text
 //! profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N]
 //!         [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J]
-//!         [--engine threads|sm] [--shards W]
+//!         [--engine threads|sm]
 //! ```
-//!
-//! `--shards W` runs the sharded conservative engine and adds one trace
-//! lane per shard (see `profile::chrome_trace`); virtual-time results are
-//! bit-identical at any W, so the rank tracks never move.
 //!
 //! Defaults: `--program ring --np 4 --device clan --class S`, output to
 //! `results/profile_<program>.json`.
@@ -30,7 +26,6 @@ struct Args {
     class: Class,
     out: Option<PathBuf>,
     engine: Option<viampi_sim::Backend>,
-    shards: Option<usize>,
 }
 
 fn die(msg: &str) -> ! {
@@ -47,7 +42,6 @@ fn parse_args() -> Args {
         class: Class::S,
         out: None,
         engine: None,
-        shards: None,
     };
     let value = |argv: &[String], i: usize, flag: &str| -> String {
         argv.get(i + 1)
@@ -97,21 +91,13 @@ fn parse_args() -> Args {
                 };
                 i += 2;
             }
-            "--shards" => {
-                args.shards = Some(
-                    value(&argv, i, "--shards")
-                        .parse()
-                        .unwrap_or_else(|_| die("--shards expects a number")),
-                );
-                i += 2;
-            }
             "--jobs" => i += 2, // handled by runner::init_from_args
             a if a.starts_with("--jobs=") => i += 1,
             "--help" | "-h" => {
                 println!(
                     "usage: profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N] \
                      [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J] \
-                     [--engine threads|sm] [--shards W]"
+                     [--engine threads|sm]"
                 );
                 std::process::exit(0);
             }
@@ -132,7 +118,6 @@ fn traced_run(args: &Args) -> RunReport<f64> {
     );
     uni.config_mut().trace = true;
     uni.config_mut().engine_backend = args.engine;
-    uni.config_mut().shards = args.shards;
     let class = args.class;
     let run = match args.program.as_str() {
         "ring" => uni.run(|mpi| ring::run(mpi, 4, 4096)),

@@ -955,6 +955,9 @@ pub struct Tab2LargenRow {
     /// witness: ≪ np for on-demand sparse workloads, np-1 for static.
     pub chan_peak: usize,
     /// Largest per-rank fiber stack usage in bytes (sm backend gauge).
+    /// Printed in the table but not serialized: it is the deepest stack
+    /// address seen at a park, so it moves with compiled frame sizes and
+    /// would break the record's byte identity across toolchains.
     pub rank_mem_peak: u64,
 }
 
@@ -966,8 +969,7 @@ impl_json!(Tab2LargenRow {
     avg_vis,
     utilization,
     pinned_peak,
-    chan_peak,
-    rank_mem_peak
+    chan_peak
 });
 
 #[derive(Clone, Copy)]

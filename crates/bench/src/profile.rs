@@ -16,12 +16,6 @@
 //!   (`tid` = rank);
 //! * spans become `"X"` (complete) events, trace events become `"i"`
 //!   (thread-scoped instant) events; timestamps are virtual microseconds;
-//! * a sharded run (`sim.shard.workers` ≥ 2 in the metrics snapshot) adds
-//!   a second process (`pid` 1, named `viampi shards`) with one lane per
-//!   shard (`tid` = shard id) mirroring the spans of its resident ranks —
-//!   residency follows the engine's contiguous partition `rank·W/np`, so
-//!   the lanes show exactly how work distributes across the shard wheels;
-//!   serial runs emit no shard process at all;
 //! * the flat metrics snapshot rides along under a top-level `"metrics"`
 //!   key — viewers ignore unknown keys, tooling can read the numbers
 //!   without a second file.
@@ -31,8 +25,8 @@ use std::fmt::Write as _;
 use viampi_core::{RunReport, Span, TraceEvent};
 
 /// One trace-event line: `"M"` metadata naming a process or thread track.
-fn meta_event(out: &mut String, pid: usize, tid: Option<usize>, key: &str, name: &str) {
-    let _ = write!(out, "{{\"ph\": \"M\", \"pid\": {pid}, ");
+fn meta_event(out: &mut String, tid: Option<usize>, key: &str, name: &str) {
+    out.push_str("{\"ph\": \"M\", \"pid\": 0, ");
     if let Some(tid) = tid {
         let _ = write!(out, "\"tid\": {tid}, ");
     }
@@ -44,11 +38,8 @@ fn meta_event(out: &mut String, pid: usize, tid: Option<usize>, key: &str, name:
 }
 
 /// One trace-event line: `"X"` complete event from a recorded [`Span`].
-fn span_event(out: &mut String, pid: usize, tid: usize, span: &Span) {
-    let _ = write!(
-        out,
-        "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
-    );
+fn span_event(out: &mut String, tid: usize, span: &Span) {
+    let _ = write!(out, "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"ts\": ");
     emit_f64(out, span.begin.as_micros_f64());
     out.push_str(", \"dur\": ");
     emit_f64(out, span.end.since(span.begin).as_micros_f64());
@@ -74,50 +65,22 @@ fn instant_event(out: &mut String, tid: usize, event: &TraceEvent) {
 /// spans and protocol events; without it the output holds just the track
 /// metadata and the metrics snapshot.
 pub fn chrome_trace<R>(report: &RunReport<R>) -> String {
-    let n = report.ranks.len();
-    // Effective shard count, read from the run's own metrics so the lanes
-    // can never disagree with what the engine actually did (config `None`
-    // defers to `VIAMPI_SHARDS`, and the engine clamps to the world size).
-    let shards = report
-        .metrics
-        .entries
-        .iter()
-        .find(|e| e.name == "sim.shard.workers")
-        .map(|e| e.value as usize)
-        .filter(|&w| w >= 2 && n >= 1)
-        .unwrap_or(1);
-    let shard_of = |rank: usize| rank * shards / n;
-
     let mut events: Vec<String> = Vec::new();
     let mut line = String::new();
-    meta_event(&mut line, 0, None, "process_name", "viampi");
+    meta_event(&mut line, None, "process_name", "viampi");
     events.push(std::mem::take(&mut line));
     for r in &report.ranks {
         meta_event(
             &mut line,
-            0,
             Some(r.rank),
             "thread_name",
             &format!("rank {}", r.rank),
         );
         events.push(std::mem::take(&mut line));
     }
-    if shards >= 2 {
-        meta_event(&mut line, 1, None, "process_name", "viampi shards");
-        events.push(std::mem::take(&mut line));
-        for s in 0..shards {
-            let resident: Vec<usize> = (0..n).filter(|&rank| shard_of(rank) == s).collect();
-            let name = match (resident.first(), resident.last()) {
-                (Some(lo), Some(hi)) => format!("shard {s} (ranks {lo}..={hi})"),
-                _ => format!("shard {s} (empty)"),
-            };
-            meta_event(&mut line, 1, Some(s), "thread_name", &name);
-            events.push(std::mem::take(&mut line));
-        }
-    }
     for r in &report.ranks {
         for span in &r.spans {
-            span_event(&mut line, 0, r.rank, span);
+            span_event(&mut line, r.rank, span);
             events.push(std::mem::take(&mut line));
         }
         for event in &r.trace {
@@ -125,17 +88,6 @@ pub fn chrome_trace<R>(report: &RunReport<R>) -> String {
             events.push(std::mem::take(&mut line));
         }
     }
-    if shards >= 2 {
-        // Mirror each rank's spans onto its shard's lane so the shard
-        // process shows the interleaved activity of its resident ranks.
-        for r in &report.ranks {
-            for span in &r.spans {
-                span_event(&mut line, 1, shard_of(r.rank), span);
-                events.push(std::mem::take(&mut line));
-            }
-        }
-    }
-
     let mut out = String::new();
     out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
     for (i, e) in events.iter().enumerate() {
@@ -167,7 +119,7 @@ mod tests {
     #[test]
     fn event_lines_are_well_formed() {
         let mut s = String::new();
-        meta_event(&mut s, 0, Some(3), "thread_name", "rank 3");
+        meta_event(&mut s, Some(3), "thread_name", "rank 3");
         assert_eq!(
             s,
             "{\"ph\": \"M\", \"pid\": 0, \"tid\": 3, \"name\": \"thread_name\", \
@@ -177,7 +129,6 @@ mod tests {
         let mut s = String::new();
         span_event(
             &mut s,
-            0,
             1,
             &Span {
                 begin: SimTime(1_500),
@@ -225,35 +176,5 @@ mod tests {
         assert!(!json.contains("\"ph\": \"X\""));
         assert!(!json.contains("\"ph\": \"i\""));
         assert!(json.ends_with("  ]\n}"));
-    }
-
-    #[test]
-    fn sharded_run_adds_one_lane_per_shard() {
-        use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
-        use viampi_npb::ring;
-        let traced_ring = |shards: Option<usize>| {
-            let mut uni = Universe::new(4, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-            uni.config_mut().trace = true;
-            uni.config_mut().shards = shards;
-            uni.run(|mpi| ring::run(mpi, 2, 256)).unwrap()
-        };
-
-        let sharded = chrome_trace(&traced_ring(Some(2)));
-        assert!(sharded.contains("\"args\": {\"name\": \"viampi shards\"}"));
-        assert!(sharded.contains("\"args\": {\"name\": \"shard 0 (ranks 0..=1)\"}"));
-        assert!(sharded.contains("\"args\": {\"name\": \"shard 1 (ranks 2..=3)\"}"));
-        // Spans are mirrored onto the shard lanes under pid 1.
-        assert!(sharded.contains("\"ph\": \"X\", \"pid\": 1, \"tid\": 0"));
-        assert!(sharded.contains("\"ph\": \"X\", \"pid\": 1, \"tid\": 1"));
-
-        // The serial export is untouched: no shard process, no pid-1 events,
-        // and the rank tracks are byte-identical to the sharded run's
-        // (virtual time does not move — determinism is the product).
-        let serial = chrome_trace(&traced_ring(Some(1)));
-        assert!(!serial.contains("viampi shards"));
-        assert!(!serial.contains("\"pid\": 1"));
-        for line in serial.lines().filter(|l| l.contains("\"ph\": \"X\"")) {
-            assert!(sharded.contains(line.trim_end_matches(',')));
-        }
     }
 }

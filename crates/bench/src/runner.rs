@@ -181,31 +181,22 @@ where
 
 /// Effective engine mode of this process's runs, resolved the same way the
 /// engine resolves a config `None` (defer to the environment): execution
-/// backend, pre-release width, shard count, and compute coalescing.
+/// backend and compute coalescing.
 ///
 /// Recorded in every [`PerfRecord`] so a wall-clock number carries the
-/// mode it was measured under — comparing a `shards=4` record against a
-/// serial baseline is a mode change, not a regression.
+/// mode it was measured under — comparing an `sm` record against a
+/// `threads` baseline is a mode change, not a regression.
 pub fn engine_mode() -> String {
-    let env_width = |key: &str| {
-        std::env::var(key)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1)
-    };
     let backend = match viampi_sim::Backend::from_env() {
         Some(viampi_sim::Backend::Sm) => "sm",
         _ => "threads",
     };
-    let par = env_width("VIAMPI_PAR");
-    let shards = env_width("VIAMPI_SHARDS");
     let coalesce = if std::env::var_os("VIAMPI_NO_COALESCE").is_some() {
         "off"
     } else {
         "on"
     };
-    format!("{backend} par={par} shards={shards} coalesce={coalesce}")
+    format!("{backend} coalesce={coalesce}")
 }
 
 /// Wall-clock/throughput record for one timed experiment.
@@ -422,14 +413,12 @@ mod tests {
     #[test]
     fn engine_mode_names_every_knob() {
         // The exact values are environment-dependent (the determinism mode
-        // legs export VIAMPI_PAR/SHARDS/ENGINE), so pin the shape: every
-        // knob appears exactly once, in a fixed order.
+        // legs export VIAMPI_ENGINE), so pin the shape: every knob appears
+        // exactly once, in a fixed order.
         let m = engine_mode();
-        assert!(m.starts_with("threads ") || m.starts_with("sm "), "{m}");
-        let rest: Vec<&str> = m.split(' ').skip(1).collect();
-        assert_eq!(rest.len(), 3, "{m}");
-        assert!(rest[0].starts_with("par="), "{m}");
-        assert!(rest[1].starts_with("shards="), "{m}");
-        assert!(rest[2] == "coalesce=on" || rest[2] == "coalesce=off", "{m}");
+        let parts: Vec<&str> = m.split(' ').collect();
+        assert_eq!(parts.len(), 2, "{m}");
+        assert!(matches!(parts[0], "threads" | "sm"), "{m}");
+        assert!(matches!(parts[1], "coalesce=on" | "coalesce=off"), "{m}");
     }
 }

@@ -120,12 +120,7 @@ struct Scenario {
     drop_override: Option<f64>,
     /// Data-plane jitter `(delay_prob, reorder_prob, delay_max_us)`.
     data_jitter: Option<(f64, f64, u64)>,
-    /// Engine worker width (1 = serial; the par-engine axis raises it).
-    par_workers: usize,
-    /// Engine shard count (1 = serial structures; the shards axis raises
-    /// it — results must stay byte-identical at any count).
-    shards: usize,
-    /// Compute coalescing (the par-engine axis also fuzzes it off).
+    /// Compute coalescing (the eager-compute axis turns it off).
     coalesce: bool,
     /// Engine backend (`None` = session default; the engine-backend axis
     /// pins threads or the state-machine scheduler).
@@ -180,10 +175,8 @@ fn derive(seed: u64) -> Scenario {
         data_jitter: None,
         // Engine-mode fields are constants here (no new draws): the plain
         // draw sequence is frozen, and byte-identity across engine modes is
-        // its own invariant, so only the par-engine and engine-backend axes
-        // vary these.
-        par_workers: 1,
-        shards: 1,
+        // its own invariant, so only the eager-compute and engine-backend
+        // axes vary these.
         coalesce: true,
         engine_backend: None,
         vis_per_peer: 1,
@@ -291,10 +284,10 @@ pub enum Axis {
     DataJitter = 6,
     /// Dynamic flow control on, with enough traffic to trigger growth.
     DynCredits = 7,
-    /// Conservative parallel engine (`VIAMPI_PAR` 2–4), with and without
-    /// compute coalescing: every invariant must hold — and every outcome
-    /// stay byte-identical to serial — under concurrent pre-release.
-    ParEngine = 8,
+    /// Eager compute charging (coalescing off): every `advance` is a
+    /// scheduler interaction instead of a deferred-clock add, and every
+    /// invariant must hold on that path too.
+    EagerCompute = 8,
     /// Engine backend flip (OS threads ↔ fiber state machines). Variant
     /// pairs `(2i, 2i+1)` share scheduler and fault seeds and differ only
     /// in backend, so every pair is a live threads-vs-sm replay; half the
@@ -304,16 +297,12 @@ pub enum Axis {
     /// invariant generalizes per (peer, stripe) — per-VI credit
     /// conservation, per-pair VI totals, symmetric stripe states.
     Endpoints = 10,
-    /// Sharded conservative engine (`VIAMPI_SHARDS` 2–4): every invariant
-    /// must hold — and every outcome stay byte-identical to serial —
-    /// under per-shard wheels, cross-shard mailboxes and the global
-    /// `(time, seq)` merge.
-    Shards = 11,
+    // Tag 11 is reserved (a retired axis): its keys derive like their root.
 }
 
 impl Axis {
     /// Every axis, in tag order.
-    pub const ALL: [Axis; 11] = [
+    pub const ALL: [Axis; 10] = [
         Axis::NpLarge,
         Axis::Storm,
         Axis::RetryEdge,
@@ -321,10 +310,9 @@ impl Axis {
         Axis::ConnWait,
         Axis::DataJitter,
         Axis::DynCredits,
-        Axis::ParEngine,
+        Axis::EagerCompute,
         Axis::EngineBackend,
         Axis::Endpoints,
-        Axis::Shards,
     ];
 
     /// Axis for a key tag in `1..=14`.
@@ -342,10 +330,9 @@ impl Axis {
             Axis::ConnWait => "conn-wait",
             Axis::DataJitter => "data-jitter",
             Axis::DynCredits => "dyn-credits",
-            Axis::ParEngine => "par-engine",
+            Axis::EagerCompute => "eager-compute",
             Axis::EngineBackend => "engine-backend",
             Axis::Endpoints => "endpoints",
-            Axis::Shards => "shards",
         }
     }
 
@@ -354,11 +341,7 @@ impl Axis {
     pub fn weight(self) -> u32 {
         match self {
             Axis::NpLarge | Axis::Storm | Axis::RetryEdge => 4,
-            Axis::DataJitter
-            | Axis::ParEngine
-            | Axis::EngineBackend
-            | Axis::Endpoints
-            | Axis::Shards => 2,
+            Axis::DataJitter | Axis::EagerCompute | Axis::EngineBackend | Axis::Endpoints => 2,
             Axis::Msgs | Axis::ConnWait | Axis::DynCredits => 1,
         }
     }
@@ -430,10 +413,7 @@ fn apply_axis(mut sc: Scenario, axis: Axis, variant: u32, k: u64) -> Scenario {
             sc.dynamic_credits = true;
             sc.m = 3 + variant % 6;
         }
-        Axis::ParEngine => {
-            sc.par_workers = 2 + (variant as usize % 3);
-            sc.coalesce = (variant / 3).is_multiple_of(2);
-        }
+        Axis::EagerCompute => sc.coalesce = false,
         Axis::EngineBackend => {
             // Re-salt with the parity bit (key bit 48) masked off so the
             // variants `2i` and `2i+1` share scheduler and fault seeds:
@@ -464,11 +444,6 @@ fn apply_axis(mut sc: Scenario, axis: Axis, variant: u32, k: u64) -> Scenario {
             // sharing stripes, the convoy path).
             sc.vis_per_peer = [2, 4][variant as usize % 2];
             sc.threads = [1, 2, 4][(variant as usize / 2) % 3];
-        }
-        Axis::Shards => {
-            // 2–4 shards; the engine clamps to np, so small worlds still
-            // exercise the drain/merge path at their full width.
-            sc.shards = 2 + (variant as usize % 3);
         }
     }
     sc
@@ -1052,8 +1027,6 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         cfg.faults = effective_profile(&sc, kind);
         cfg.sched_seed = Some(sc.sched_seed);
         cfg.dynamic_credits = sc.dynamic_credits;
-        cfg.par_workers = Some(sc.par_workers);
-        cfg.shards = Some(sc.shards);
         cfg.coalesce = Some(sc.coalesce);
         cfg.engine_backend = sc.engine_backend;
         cfg.vis_per_peer = sc.vis_per_peer;
@@ -1101,10 +1074,6 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
     // single-VI single-thread scenarios keep their historical bytes.
     if sc.vis_per_peer > 1 || sc.threads > 1 {
         signature.push_str(&format!("|ep{}x{}", sc.vis_per_peer, sc.threads));
-    }
-    // Shards-axis scenarios likewise; serial scenarios keep their bytes.
-    if sc.shards > 1 {
-        signature.push_str(&format!("|sh{}", sc.shards));
     }
     SeedOutcome {
         seed: k,
@@ -1397,10 +1366,9 @@ mod tests {
         let dync = derive_key(key::mutated(Axis::DynCredits, 0, root));
         assert!(dync.dynamic_credits);
         for variant in 0..6 {
-            let par = derive_key(key::mutated(Axis::ParEngine, variant, root));
-            assert!((2..=4).contains(&par.par_workers));
+            assert!(!derive_key(key::mutated(Axis::EagerCompute, variant, root)).coalesce);
         }
-        assert!(!derive_key(key::mutated(Axis::ParEngine, 3, root)).coalesce);
+        assert!(base.coalesce);
         for variant in 0..6 {
             let ep = derive_key(key::mutated(Axis::Endpoints, variant, root));
             assert!([2, 4].contains(&ep.vis_per_peer));
@@ -1414,10 +1382,6 @@ mod tests {
             derive_key(key::mutated(Axis::Endpoints, 4, root)).threads,
             4
         );
-        for variant in 0..6 {
-            let sh = derive_key(key::mutated(Axis::Shards, variant, root));
-            assert_eq!(sh.shards, 2 + (variant as usize % 3));
-        }
         // Every mutated key reseeds the schedule: same topology axis,
         // different race.
         assert_ne!(np_large.sched_seed, base.sched_seed);
@@ -1493,44 +1457,20 @@ mod tests {
     }
 
     #[test]
-    fn a_par_engine_key_passes_invariants_and_replays() {
-        // Variant 1 → 3 workers with coalescing on; variant 3 → 2 workers
-        // with coalescing off. Both must satisfy every invariant and
-        // replay byte-identically despite concurrent pre-release.
-        for variant in [1u32, 3] {
-            let k = key::mutated(Axis::ParEngine, variant, 23);
-            let a = run_key(k, FaultKind::Light);
+    fn an_eager_compute_key_passes_invariants_and_replays() {
+        // Coalescing off charges every compute step eagerly through the
+        // scheduler. Every invariant must hold and the outcome replay
+        // byte-identically, with and without faults.
+        for (variant, kind) in [(0u32, FaultKind::Light), (3, FaultKind::Heavy)] {
+            let k = key::mutated(Axis::EagerCompute, variant, 29);
+            assert!(!derive_key(k).coalesce);
+            let a = run_key(k, kind);
             assert!(a.violations.is_empty(), "{:?}", a.violations);
-            let b = run_key(k, FaultKind::Light);
+            let b = run_key(k, kind);
             assert_eq!(
                 crate::json::to_string_pretty(&a),
                 crate::json::to_string_pretty(&b),
-                "parallel-engine key {k} must replay"
-            );
-        }
-    }
-
-    #[test]
-    fn a_shards_key_passes_invariants_and_replays() {
-        // Variant 0 → 2 shards, variant 2 → 4 shards. Every invariant must
-        // hold and the outcome replay byte-identically despite per-shard
-        // wheels and cross-shard mailboxes; the serial twin of the same
-        // root differs only in its coverage token.
-        for variant in [0u32, 2] {
-            let k = key::mutated(Axis::Shards, variant, 29);
-            let a = run_key(k, FaultKind::Light);
-            assert!(a.violations.is_empty(), "{:?}", a.violations);
-            assert!(
-                a.signature
-                    .ends_with(&format!("|sh{}", 2 + variant as usize)),
-                "{}",
-                a.signature
-            );
-            let b = run_key(k, FaultKind::Light);
-            assert_eq!(
-                crate::json::to_string_pretty(&a),
-                crate::json::to_string_pretty(&b),
-                "shards key {k} must replay"
+                "eager-compute key {k} must replay"
             );
         }
     }

@@ -497,27 +497,21 @@ fn killed_campaign_resumes_to_one_shot_bytes() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine modes: compute coalescing and the conservative parallel scheduler.
+// Engine modes: compute coalescing.
 // ---------------------------------------------------------------------------
 
 /// The fig4 barrier run under an explicit engine-mode configuration
-/// (overrides beat the `VIAMPI_PAR`/`VIAMPI_NO_COALESCE` environment, so
-/// these tests are race-free under any test-harness parallelism).
-fn barrier_run_modes(
-    np: usize,
-    par: Option<usize>,
-    coalesce: Option<bool>,
-) -> RunReport<Option<f64>> {
+/// (overrides beat the `VIAMPI_NO_COALESCE` environment, so these tests
+/// are race-free under any test-harness parallelism).
+fn barrier_run_modes(np: usize, coalesce: Option<bool>) -> RunReport<Option<f64>> {
     let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().par_workers = par;
     uni.config_mut().coalesce = coalesce;
     uni.run(|mpi| llc::barrier_latency(mpi, 300)).unwrap()
 }
 
 /// The CG class-S run under an explicit engine-mode configuration.
-fn npb_run_modes(par: Option<usize>, coalesce: Option<bool>) -> RunReport<Option<f64>> {
+fn npb_run_modes(coalesce: Option<bool>) -> RunReport<Option<f64>> {
     let mut uni = Universe::new(8, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().par_workers = par;
     uni.config_mut().coalesce = coalesce;
     uni.run(|mpi| {
         let r = cg::run(mpi, Class::S);
@@ -527,64 +521,39 @@ fn npb_run_modes(par: Option<usize>, coalesce: Option<bool>) -> RunReport<Option
 }
 
 #[test]
-fn parallel_engine_matches_serial_for_fig4_and_cg() {
-    // The conservative parallel mode must reproduce the serial schedule
-    // exactly: same end times, event counts, per-rank finishes and result
-    // bits at every worker width.
-    let fig4 = fingerprint(&barrier_run_modes(16, Some(1), None));
-    let cg = fingerprint(&npb_run_modes(Some(1), None));
-    for par in [2usize, 4] {
-        assert_eq!(
-            fingerprint(&barrier_run_modes(16, Some(par), None)),
-            fig4,
-            "fig4 must be bit-identical at VIAMPI_PAR={par}"
-        );
-        assert_eq!(
-            fingerprint(&npb_run_modes(Some(par), None)),
-            cg,
-            "CG must be bit-identical at VIAMPI_PAR={par}"
-        );
-    }
-}
-
-#[test]
 fn coalescing_on_and_off_match_for_fig4_and_cg() {
     // Lazy (deferred-clock) and eager compute charging are two encodings
     // of the same virtual-time history.
     assert_eq!(
-        fingerprint(&barrier_run_modes(16, None, Some(true))),
-        fingerprint(&barrier_run_modes(16, None, Some(false))),
+        fingerprint(&barrier_run_modes(16, Some(true))),
+        fingerprint(&barrier_run_modes(16, Some(false))),
         "fig4 must not depend on compute coalescing"
     );
     assert_eq!(
-        fingerprint(&npb_run_modes(None, Some(true))),
-        fingerprint(&npb_run_modes(None, Some(false))),
+        fingerprint(&npb_run_modes(Some(true))),
+        fingerprint(&npb_run_modes(Some(false))),
         "CG must not depend on compute coalescing"
     );
 }
 
 #[test]
 fn engine_mode_counter_names_are_pinned() {
-    // The coalescing/parallel observability counters are part of the
-    // metrics interface: the dotted names must not drift, and a parallel
-    // run must actually exercise the pre-release machinery it reports.
-    let r = barrier_run_modes(8, Some(2), None);
+    // The coalescing/direct-handoff observability counters are part of
+    // the metrics interface: the dotted names must not drift.
+    let r = barrier_run_modes(8, None);
     let rendered = r.metrics.render();
     for name in [
         "sim.coalesce.advances",
         "sim.coalesce.flushes",
         "sim.direct.handoffs",
         "sim.direct.self_resumes",
-        "sim.par.pre_releases",
-        "sim.par.promotions",
-        "sim.par.workers",
     ] {
         assert!(
             rendered.contains(name),
             "snapshot is missing {name}:\n{rendered}"
         );
     }
-    let repeat = barrier_run_modes(8, Some(2), None).metrics.render();
+    let repeat = barrier_run_modes(8, None).metrics.render();
     assert_eq!(
         rendered, repeat,
         "mode counters must replay bit-identically"
@@ -604,12 +573,10 @@ use viampi_sim::Backend;
 fn barrier_run_backend(
     np: usize,
     backend: Backend,
-    par: Option<usize>,
     coalesce: Option<bool>,
 ) -> RunReport<Option<f64>> {
     let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
     uni.config_mut().engine_backend = Some(backend);
-    uni.config_mut().par_workers = par;
     uni.config_mut().coalesce = coalesce;
     uni.run(|mpi| llc::barrier_latency(mpi, 300)).unwrap()
 }
@@ -627,8 +594,8 @@ fn npb_run_backend(backend: Backend) -> RunReport<Option<f64>> {
 
 #[test]
 fn sm_backend_repeat_runs_are_bit_identical() {
-    let a = barrier_run_backend(16, Backend::Sm, None, None);
-    let b = barrier_run_backend(16, Backend::Sm, None, None);
+    let a = barrier_run_backend(16, Backend::Sm, None);
+    let b = barrier_run_backend(16, Backend::Sm, None);
     assert_eq!(
         fingerprint(&a),
         fingerprint(&b),
@@ -646,8 +613,8 @@ fn sm_backend_matches_threads_for_fig4_and_cg() {
     // The substrate swap must be invisible in every published number:
     // end times, event counts, per-rank finishes, result bits.
     assert_eq!(
-        fingerprint(&barrier_run_backend(16, Backend::Sm, None, None)),
-        fingerprint(&barrier_run_backend(16, Backend::Threads, None, None)),
+        fingerprint(&barrier_run_backend(16, Backend::Sm, None)),
+        fingerprint(&barrier_run_backend(16, Backend::Threads, None)),
         "fig4 must not depend on the engine backend"
     );
     assert_eq!(
@@ -659,19 +626,13 @@ fn sm_backend_matches_threads_for_fig4_and_cg() {
 
 #[test]
 fn sm_backend_matches_across_engine_modes() {
-    // sm composes with the other engine modes: coalescing off and a
-    // requested parallel width (clamped to serial under sm) must leave
+    // sm composes with the other engine modes: coalescing off must leave
     // the outcome bit-identical to the plain sm run.
-    let base = fingerprint(&barrier_run_backend(16, Backend::Sm, None, None));
+    let base = fingerprint(&barrier_run_backend(16, Backend::Sm, None));
     assert_eq!(
-        fingerprint(&barrier_run_backend(16, Backend::Sm, None, Some(false))),
+        fingerprint(&barrier_run_backend(16, Backend::Sm, Some(false))),
         base,
         "sm must not depend on compute coalescing"
-    );
-    assert_eq!(
-        fingerprint(&barrier_run_backend(16, Backend::Sm, Some(2), None)),
-        base,
-        "sm with a parallel-width request must clamp to the serial schedule"
     );
 }
 
@@ -680,7 +641,7 @@ fn sm_counter_names_are_pinned() {
     // The sm observability counters are part of the metrics interface:
     // the dotted names must not drift, an sm run must actually poll and
     // park fibers, and a threads run must report them at zero.
-    let r = barrier_run_backend(8, Backend::Sm, None, None);
+    let r = barrier_run_backend(8, Backend::Sm, None);
     let rendered = r.metrics.render();
     for name in [
         "sim.sm.polls",
@@ -701,146 +662,12 @@ fn sm_counter_names_are_pinned() {
         r.metrics.get("sim.sm.rank_mem_peak").unwrap() > 0,
         "sm run must sample fiber stack depth"
     );
-    let t = barrier_run_backend(8, Backend::Threads, None, None);
+    let t = barrier_run_backend(8, Backend::Threads, None);
     assert_eq!(
         t.metrics.get("sim.sm.polls"),
         Some(0),
         "threads run must not count sm polls"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Sharded conservative mode: per-shard wheels merged in (time, seq) order.
-// ---------------------------------------------------------------------------
-
-/// The fig4 barrier run with the shard count (and optionally the other
-/// engine modes) pinned through the config — overrides beat the
-/// `VIAMPI_SHARDS` environment, so these tests are race-free under any
-/// test-harness parallelism and any check.sh determinism leg.
-fn barrier_run_shards(
-    np: usize,
-    shards: usize,
-    backend: Option<Backend>,
-    par: Option<usize>,
-    coalesce: Option<bool>,
-) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().shards = Some(shards);
-    uni.config_mut().engine_backend = backend;
-    uni.config_mut().par_workers = par;
-    uni.config_mut().coalesce = coalesce;
-    uni.run(|mpi| llc::barrier_latency(mpi, 300)).unwrap()
-}
-
-/// The CG class-S run with the shard count pinned.
-fn npb_run_shards(shards: usize, backend: Option<Backend>) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(8, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().shards = Some(shards);
-    uni.config_mut().engine_backend = backend;
-    uni.run(|mpi| {
-        let r = cg::run(mpi, Class::S);
-        Some(if r.verified { r.time_secs } else { f64::NAN })
-    })
-    .unwrap()
-}
-
-#[test]
-fn sharded_engine_matches_serial_for_fig4_and_cg() {
-    // The W-way (time, seq) merge must reproduce the serial schedule
-    // exactly: same end times, event counts, per-rank finishes and result
-    // bits at every shard count, under both backends.
-    let fig4 = fingerprint(&barrier_run_shards(16, 1, None, None, None));
-    let cg = fingerprint(&npb_run_shards(1, None));
-    for shards in [2usize, 4] {
-        assert_eq!(
-            fingerprint(&barrier_run_shards(16, shards, None, None, None)),
-            fig4,
-            "fig4 must be bit-identical at VIAMPI_SHARDS={shards}"
-        );
-        assert_eq!(
-            fingerprint(&npb_run_shards(shards, None)),
-            cg,
-            "CG must be bit-identical at VIAMPI_SHARDS={shards}"
-        );
-        assert_eq!(
-            fingerprint(&npb_run_shards(shards, Some(Backend::Sm))),
-            cg,
-            "CG under sm must be bit-identical at VIAMPI_SHARDS={shards}"
-        );
-    }
-}
-
-#[test]
-fn sharded_engine_composes_with_other_modes() {
-    // Shards must compose with every other engine mode without moving a
-    // single bit: sm backend, eager compute, pre-release widths, and the
-    // full shards × par × coalesce stack.
-    let base = fingerprint(&barrier_run_shards(16, 1, None, None, None));
-    let legs: [(&str, RunReport<Option<f64>>); 4] = [
-        (
-            "shards=2 × sm",
-            barrier_run_shards(16, 2, Some(Backend::Sm), None, None),
-        ),
-        (
-            "shards=2 × eager compute",
-            barrier_run_shards(16, 2, None, None, Some(false)),
-        ),
-        (
-            "shards=2 × par=2",
-            barrier_run_shards(16, 2, None, Some(2), None),
-        ),
-        (
-            "shards=4 × par=2 × eager compute",
-            barrier_run_shards(16, 4, None, Some(2), Some(false)),
-        ),
-    ];
-    for (label, report) in &legs {
-        assert_eq!(
-            fingerprint(report),
-            base,
-            "{label} must be bit-identical to serial"
-        );
-    }
-}
-
-#[test]
-fn shard_counter_names_are_pinned() {
-    // The shard observability counters are part of the metrics interface:
-    // the dotted names must not drift, a sharded run must actually take
-    // LBTS rounds and cross-shard sends, and a serial run must report the
-    // counters at zero with workers = 1.
-    let r = barrier_run_shards(8, 2, None, None, None);
-    let rendered = r.metrics.render();
-    for name in [
-        "sim.shard.lbts_rounds",
-        "sim.shard.cross_sends",
-        "sim.shard.stalls",
-        "sim.shard.mailbox_peak",
-        "sim.shard.workers",
-    ] {
-        assert!(
-            rendered.contains(name),
-            "snapshot is missing {name}:\n{rendered}"
-        );
-    }
-    assert!(
-        r.metrics.get("sim.shard.lbts_rounds").unwrap() > 0,
-        "sharded run must take LBTS merge rounds"
-    );
-    assert!(
-        r.metrics.get("sim.shard.cross_sends").unwrap() > 0,
-        "a barrier exchanges across the shard cut"
-    );
-    assert_eq!(r.metrics.get("sim.shard.workers"), Some(2));
-    let repeat = barrier_run_shards(8, 2, None, None, None).metrics.render();
-    assert_eq!(
-        rendered, repeat,
-        "shard counters must replay bit-identically"
-    );
-    let serial = barrier_run_shards(8, 1, None, None, None);
-    assert_eq!(serial.metrics.get("sim.shard.lbts_rounds"), Some(0));
-    assert_eq!(serial.metrics.get("sim.shard.cross_sends"), Some(0));
-    assert_eq!(serial.metrics.get("sim.shard.workers"), Some(1));
 }
 
 #[test]

@@ -148,11 +148,8 @@ impl Universe {
         }
         let mut engine = Engine::new(fabric);
         engine.set_sched_seed(cfg.sched_seed);
-        engine.set_par(cfg.par_workers);
-        engine.set_shards(cfg.shards);
         engine.set_coalesce(cfg.coalesce);
         engine.set_backend(cfg.engine_backend);
-        engine.set_lookahead(cfg.device.profile().min_latency());
         let body = Arc::new(body);
         type Slot<R> = Option<(R, RankReport)>;
         let slots: Arc<Mutex<Vec<Slot<R>>>> = Arc::new(Mutex::new((0..np).map(|_| None).collect()));

@@ -28,10 +28,6 @@
 //!   committed fiber stack (`VIAMPI_SM_STACK` bytes reserved, only touched
 //!   pages resident), which is what lets np = 1024–4096 worlds run.
 //!
-//! Under `sm` the conservative parallel mode is meaningless (there is only
-//! one OS thread); `par` is clamped to 1, which cannot change results
-//! (parallel mode is byte-identical at any width by construction).
-//!
 //! The result is a *deterministic* simulation: given the same world, the same
 //! spawned closures and the same seeds, every run produces identical virtual
 //! timestamps, identical message interleavings, and identical statistics.
@@ -94,50 +90,14 @@
 //! stretch is segmented, which is exactly the invariant that keeps lazy and
 //! eager compute charging bit-identical.
 //!
-//! ## Conservative parallel mode (`VIAMPI_PAR=N`)
+//! ## One scheduling path
 //!
-//! Opt-in intra-run parallelism ([`Engine::set_par`] or `VIAMPI_PAR=N`).
-//! When the scheduler grants the token at global-minimum clock `t`, it may
-//! additionally *pre-release* up to `N-1` compute-parked ready processes
-//! whose clocks lie within `t + lookahead` (the minimum cross-rank influence
-//! latency of the device profile, [`Engine::set_lookahead`]). A pre-released
-//! process resumes on its own core but only accumulates deferred compute
-//! time; at its next world interaction it parks until the scheduler promotes
-//! it — i.e. pops it from the ready heap exactly where the serial schedule
-//! would have run it. Every lock-protected mutation therefore happens in the
-//! identical order as the serial engine, so parallel results are
-//! byte-identical at any `N`; the window only controls how much pure compute
-//! overlaps wall-clock-wise. Correctness does not depend on the lookahead
-//! value (promotion is the commit gate); `0` simply disables overlap.
-//!
-//! ## Sharded conservative mode (`VIAMPI_SHARDS=W`)
-//!
-//! [`Engine::set_shards`] / `VIAMPI_SHARDS=W` partitions the processes into
-//! `W` contiguous shards, each owning its own timing wheel and ready heap.
-//! Events carry a *global* monotone sequence number assigned at scheduling
-//! time; same-shard events go straight onto the owning shard's wheel, while
-//! cross-shard sends (routed by [`World::event_dst`]) travel through
-//! per-(src,dst) SPSC mailboxes that are drained — in fixed (src,dst) order —
-//! before every scheduling inspection. Each scheduling step is one
-//! lower-bound-timestamp (LBTS) merge round: the W wheel heads and W ready
-//! heads are compared by their full `(time, seq)` / `(clock, key, pid)` keys
-//! and the global minimum is committed. Because the global sequence numbers
-//! reproduce the serial engine's insertion order and every wheel orders by
-//! the full key, the W-way merge pops in *exactly* the serial total order —
-//! results are byte-identical at any `W`, under both backends, composed with
-//! coalescing and parallel pre-release. `W = 1` (and single-process worlds)
-//! bypasses the shard structures entirely and runs the serial code path, so
-//! its overhead is structurally zero.
-//!
-//! Wall-clock parallelism comes from composing shards with pre-release: under
-//! the thread backend the effective pre-release width is `max(par, W)`, so a
-//! `VIAMPI_SHARDS=W` run overlaps up to `W` compute stretches across cores
-//! without also setting `VIAMPI_PAR`. The per-round lookahead — how far past
-//! the committed minimum other shards may owe activity before being counted
-//! stalled (`sim.shard.stalls`) — comes from [`Engine::set_lookahead`], i.e.
-//! the device profile's minimum cross-rank influence latency. As with
-//! parallel mode, no routing, stall, or release policy can change results:
-//! the `(time, seq)` merge is the only commit gate.
+//! Scheduling is serial under both backends: one global event queue, one
+//! ready heap, one decision function ([`decide`]), and at most one process
+//! executing at any instant. The modes above change only how much host
+//! work a token pass costs, never which process runs next. Wall-clock
+//! parallelism comes from running independent simulations side by side
+//! (the bench harness's `--jobs` fan-out), not from splitting one run.
 
 use crate::error::{BlockedProc, SimError};
 use crate::fiber::{FiberSet, FiberStats};
@@ -187,10 +147,19 @@ impl Backend {
 /// default 1 MiB. Stacks are lazily committed, so the default costs only
 /// address space until a rank actually recurses into it.
 fn sm_stack_size() -> usize {
-    std::env::var("VIAMPI_SM_STACK")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1 << 20)
+    parse_sm_stack(std::env::var("VIAMPI_SM_STACK").ok().as_deref())
+}
+
+/// Parse a `VIAMPI_SM_STACK` value: unset or empty gives the 1 MiB default,
+/// a byte count is used as given. Anything else panics, like an unknown
+/// `VIAMPI_ENGINE` — a silent fallback would invalidate an A/B measurement.
+fn parse_sm_stack(raw: Option<&str>) -> usize {
+    match raw.map(str::trim) {
+        None | Some("") => 1 << 20,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| panic!("VIAMPI_SM_STACK must be a byte count, got {s:?}")),
+    }
 }
 
 /// The simulated hardware/world state shared by all processes.
@@ -206,16 +175,6 @@ pub trait World: Sized + Send + 'static {
     /// Apply `event` at its due time. May schedule follow-up events and wake
     /// blocked processes through `api`.
     fn handle_event(&mut self, event: Self::Event, api: &mut Api<'_, Self::Event>);
-
-    /// Destination process of `event`, if it has one — the sharded engine
-    /// routes an event to its destination's shard wheel (a cross-shard
-    /// mailbox hop when scheduled from another shard). `None` (the default)
-    /// keeps the event on the scheduling shard. Routing is purely
-    /// structural: the merge order is the global `(time, seq)` total order,
-    /// so any routing choice produces byte-identical results.
-    fn event_dst(_event: &Self::Event) -> Option<ProcId> {
-        None
-    }
 }
 
 /// Scheduling capabilities handed to event handlers and world accessors.
@@ -223,12 +182,6 @@ pub struct Api<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
     wakes: &'a mut Vec<ProcId>,
-    /// Sharded-mode scheduling state (`None` in the serial engine, in which
-    /// case `queue` is authoritative).
-    shard: Option<&'a mut ShardSched<E>>,
-    /// Event-destination extractor ([`World::event_dst`]) used by the
-    /// sharded router; ignored in serial mode.
-    dst_of: fn(&E) -> Option<ProcId>,
 }
 
 impl<'a, E> Api<'a, E> {
@@ -238,30 +191,16 @@ impl<'a, E> Api<'a, E> {
         self.now
     }
 
-    /// File `event` at `at`: straight onto the global queue in serial mode,
-    /// or through the shard router (global sequence stamp, destination
-    /// shard's wheel, mailbox hop when cross-shard).
-    #[inline]
-    fn push(&mut self, at: SimTime, event: E) {
-        match &mut self.shard {
-            Some(ss) => {
-                let dst = (self.dst_of)(&event);
-                ss.route(at, event, dst);
-            }
-            None => self.queue.push(at, event),
-        }
-    }
-
     /// Schedule `event` to fire `after` from now.
     #[inline]
     pub fn schedule(&mut self, after: SimDuration, event: E) {
-        self.push(self.now + after, event);
+        self.queue.push(self.now + after, event);
     }
 
     /// Schedule `event` at an absolute time (clamped to now if in the past).
     #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.push(at.max(self.now), event);
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Mark a blocked process runnable at the current virtual time. Waking a
@@ -288,12 +227,12 @@ enum ProcState {
 }
 
 /// Why a process last left the Running state (what kind of ready-heap entry
-/// it owns). Voluntary parks stamp scheduling recency and are never
-/// pre-released; compute parks do neither — see the module docs.
+/// it owns). Voluntary parks stamp scheduling recency; compute parks do
+/// not — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ParkSite {
-    /// Parked by `advance` (a pure-compute yield). Eligible for parallel
-    /// pre-release; its grant does not update `last_run`.
+    /// Parked by `advance` (a pure-compute yield). Its grant does not
+    /// update `last_run`.
     Compute,
     /// Parked by `yield_now`, `block_on`, or not yet run at all. Its grant
     /// stamps `last_run` so equal-clock processes round-robin.
@@ -314,10 +253,6 @@ struct ProcSlot {
     /// Kind of the ready-heap entry this slot currently owns (valid while
     /// `state == Ready`).
     site: ParkSite,
-    /// Currently pre-released to run ahead (parallel mode): still in the
-    /// ready heap, executing pure compute concurrently with the token
-    /// holder, to be promoted when popped.
-    pre: bool,
 }
 
 /// Index min-heap over the Ready processes, keyed `(clock, last_run, pid)`.
@@ -366,13 +301,6 @@ impl ReadyHeap {
         self.heap.first().copied()
     }
 
-    /// Iterate entries in internal array order (used by pre-release scans;
-    /// the order is deterministic because the push/pop sequence is).
-    #[inline]
-    fn iter(&self) -> std::slice::Iter<'_, (SimTime, u64, ProcId)> {
-        self.heap.iter()
-    }
-
     fn push(&mut self, clock: SimTime, last_run: u64, pid: ProcId) {
         self.heap.push((clock, last_run, pid));
         if self.heap.len() > self.peak {
@@ -418,147 +346,6 @@ impl ReadyHeap {
     }
 }
 
-/// Scheduling state of the sharded conservative mode (see the module docs):
-/// per-shard timing wheels and ready heaps under one global sequence
-/// counter, joined by per-(src,dst) mailboxes. Lives inside [`Inner`] —
-/// every mutation happens under the engine lock, so the W-way merge commits
-/// in exactly the serial total order.
-struct ShardSched<E> {
-    /// Home shard of each process (contiguous partition: `pid * W / n`).
-    shard_of: Vec<usize>,
-    /// One timing wheel per shard; pushed via `push_with_seq` with globally
-    /// assigned sequence numbers.
-    wheels: Vec<EventQueue<E>>,
-    /// One ready heap per shard.
-    readys: Vec<ReadyHeap>,
-    /// SPSC mailboxes, indexed `src * W + dst`, each FIFO in global-seq
-    /// order. A mailbox front is *not* a time minimum (a later send can be
-    /// due earlier), so mailboxes are always fully drained before any
-    /// scheduling inspection — never peeked.
-    mail: Vec<std::collections::VecDeque<(SimTime, u64, E)>>,
-    /// Events currently sitting in mailboxes.
-    mail_len: usize,
-    /// High-water mark of `mail_len` (`sim.shard.mailbox_peak`).
-    mailbox_peak: usize,
-    /// Global event sequence counter (the serial queue's insertion order).
-    next_seq: u64,
-    /// Shard context of the executing event handler or process; newly
-    /// scheduled events without a destination stay on this shard.
-    cur: usize,
-    /// Total entries across the per-shard ready heaps, and its peak.
-    ready_len: usize,
-    ready_peak: usize,
-    /// LBTS merge rounds taken (`sim.shard.lbts_rounds`).
-    lbts_rounds: u64,
-    /// Events routed across shards (`sim.shard.cross_sends`).
-    cross_sends: u64,
-    /// Shards observed owing no activity inside the lookahead horizon at a
-    /// grant (`sim.shard.stalls`).
-    stalls: u64,
-}
-
-impl<E> ShardSched<E> {
-    fn new(n: usize, w: usize) -> Self {
-        ShardSched {
-            shard_of: (0..n).map(|pid| pid * w / n).collect(),
-            wheels: (0..w).map(|_| EventQueue::with_capacity(64)).collect(),
-            readys: (0..w)
-                .map(|_| ReadyHeap::with_capacity(n / w + 1))
-                .collect(),
-            mail: (0..w * w)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            mail_len: 0,
-            mailbox_peak: 0,
-            next_seq: 0,
-            cur: 0,
-            ready_len: 0,
-            ready_peak: 0,
-            lbts_rounds: 0,
-            cross_sends: 0,
-            stalls: 0,
-        }
-    }
-
-    /// Stamp `event` with the next global sequence number and file it on
-    /// `dst`'s shard wheel — directly when that is the current shard,
-    /// through the (cur → dst) mailbox otherwise. `None` destinations stay
-    /// on the current shard.
-    fn route(&mut self, at: SimTime, event: E, dst: Option<ProcId>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let to = dst.map_or(self.cur, |pid| self.shard_of[pid]);
-        if to == self.cur {
-            self.wheels[to].push_with_seq(at, seq, event);
-        } else {
-            self.cross_sends += 1;
-            self.mail[self.cur * self.wheels.len() + to].push_back((at, seq, event));
-            self.mail_len += 1;
-            if self.mail_len > self.mailbox_peak {
-                self.mailbox_peak = self.mail_len;
-            }
-        }
-    }
-
-    /// Flush every mailbox into its destination wheel, in fixed (src, dst)
-    /// order. Must run before any wheel inspection; the pop order is
-    /// independent of drain timing because wheels order by the full
-    /// `(time, seq)` key at every level.
-    fn drain_mail(&mut self) {
-        if self.mail_len == 0 {
-            return;
-        }
-        let w = self.wheels.len();
-        for src in 0..w {
-            for dst in 0..w {
-                let mb = &mut self.mail[src * w + dst];
-                while let Some((at, seq, ev)) = mb.pop_front() {
-                    self.wheels[dst].push_with_seq(at, seq, ev);
-                }
-            }
-        }
-        self.mail_len = 0;
-    }
-
-    /// Earliest pending event across all wheels: its `(time, seq)` key and
-    /// owning shard. Mailboxes must already be drained.
-    fn min_event(&self) -> Option<(SimTime, u64, usize)> {
-        debug_assert_eq!(self.mail_len, 0, "inspected wheels with mail pending");
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, wq) in self.wheels.iter().enumerate() {
-            if let Some((t, seq)) = wq.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, seq) < (bt, bs)) {
-                    best = Some((t, seq, s));
-                }
-            }
-        }
-        best
-    }
-
-    /// Earliest ready process across all shard heaps: its heap key and
-    /// owning shard.
-    fn min_ready(&self) -> Option<(SimTime, u64, ProcId, usize)> {
-        let mut best: Option<(SimTime, u64, ProcId, usize)> = None;
-        for (s, rh) in self.readys.iter().enumerate() {
-            if let Some((t, k, p)) = rh.peek() {
-                if best.is_none_or(|(bt, bk, bp, _)| (t, k, p) < (bt, bk, bp)) {
-                    best = Some((t, k, p, s));
-                }
-            }
-        }
-        best
-    }
-
-    /// File `pid` on its home shard's ready heap.
-    fn push_ready(&mut self, clock: SimTime, key: u64, pid: ProcId) {
-        self.readys[self.shard_of[pid]].push(clock, key, pid);
-        self.ready_len += 1;
-        if self.ready_len > self.ready_peak {
-            self.ready_peak = self.ready_len;
-        }
-    }
-}
-
 struct Inner<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
@@ -580,26 +367,14 @@ struct Inner<W: World> {
     /// Inline scheduling decisions that handed the token straight back to
     /// the yielding process after event processing (zero context switches).
     direct_self: u64,
-    /// Processes released to run ahead inside the lookahead window.
-    pre_releases: u64,
-    /// Pre-released processes promoted to token holder.
-    promotions: u64,
-    /// Pre-released processes currently executing ahead of the token.
-    pre_live: usize,
     /// Reusable wake buffer so `with_world`/`block_on`/event dispatch do not
     /// allocate a fresh `Vec` per call.
     wake_scratch: Vec<ProcId>,
-    /// Reusable candidate buffer for pre-release scans.
-    pre_scratch: Vec<ProcId>,
     /// Schedule-exploration seed (see [`sched_key`]). Immutable after init.
     sched_seed: Option<u64>,
     /// Scheduling decisions taken by the sm backend (driver loop plus
     /// inline direct-handoff decisions). Always 0 under the thread backend.
     sm_polls: u64,
-    /// Sharded-mode scheduling state (`None` ⟺ serial; see the module
-    /// docs). When set, `queue` and `ready` above stay empty and the
-    /// per-shard wheels/heaps are authoritative.
-    shard: Option<ShardSched<W::Event>>,
 }
 
 impl<W: World> Inner<W> {
@@ -610,47 +385,17 @@ impl<W: World> Inner<W> {
     /// ties against processes, and processes order by `(clock, last_run,
     /// pid)`.
     #[inline]
-    fn can_self_resume(&mut self, pid: ProcId, clock: SimTime) -> bool {
+    fn can_self_resume(&self, pid: ProcId, clock: SimTime) -> bool {
         if self.poisoned.is_some() {
             return false;
         }
-        let key = sched_key(self.sched_seed, self.procs[pid].last_run, pid, clock);
-        match &mut self.shard {
-            Some(ss) => {
-                // Mailboxes hide pending events from the wheel heads; drain
-                // before inspecting (fronts are not time minima).
-                ss.drain_mail();
-                if let Some((te, _, _)) = ss.min_event() {
-                    if te <= clock {
-                        return false;
-                    }
-                }
-                match ss.min_ready() {
-                    Some((t, k, p, _)) => (clock, key, pid) < (t, k, p),
-                    None => true,
-                }
-            }
-            None => {
-                if let Some(te) = self.queue.peek_time() {
-                    if te <= clock {
-                        return false;
-                    }
-                }
-                match self.ready.peek() {
-                    Some(head) => (clock, key, pid) < head,
-                    None => true,
-                }
-            }
+        if self.queue.peek_time().is_some_and(|te| te <= clock) {
+            return false;
         }
-    }
-
-    /// File `pid` on the ready structure of the active mode (the global
-    /// heap, or its home shard's heap).
-    #[inline]
-    fn push_ready(&mut self, clock: SimTime, key: u64, pid: ProcId) {
-        match &mut self.shard {
-            Some(ss) => ss.push_ready(clock, key, pid),
-            None => self.ready.push(clock, key, pid),
+        let key = sched_key(self.sched_seed, self.procs[pid].last_run, pid, clock);
+        match self.ready.peek() {
+            Some(head) => (clock, key, pid) < head,
+            None => true,
         }
     }
 
@@ -680,12 +425,8 @@ enum Decision {
 /// One scheduling step, shared verbatim by the engine thread and the
 /// direct-handoff path: apply every event due at or before the next ready
 /// process's clock (events win ties), then grant the token to the head of
-/// the ready heap. In parallel mode the grant also pre-releases eligible
-/// compute-parked processes inside the lookahead window.
+/// the ready heap.
 fn decide<W: World>(g: &mut Inner<W>, shared: &Shared<W>) -> Decision {
-    if g.shard.is_some() {
-        return decide_sharded(g, shared);
-    }
     loop {
         if g.poisoned.is_some() {
             return Decision::Idle;
@@ -699,8 +440,6 @@ fn decide<W: World>(g: &mut Inner<W>, shared: &Shared<W>) -> Decision {
                     now: t,
                     queue: &mut g.queue,
                     wakes: &mut wakes,
-                    shard: None,
-                    dst_of: W::event_dst,
                 };
                 g.world.handle_event(ev, &mut api);
             }
@@ -714,166 +453,20 @@ fn decide<W: World>(g: &mut Inner<W>, shared: &Shared<W>) -> Decision {
         };
         debug_assert_eq!(g.procs[pid].state, ProcState::Ready);
         g.pass += 1;
-        let pass = g.pass;
-        let promoted = {
-            let slot = &mut g.procs[pid];
-            slot.state = ProcState::Running;
-            if slot.site == ParkSite::Voluntary {
-                slot.last_run = pass;
-            }
-            std::mem::replace(&mut slot.pre, false)
-        };
-        if promoted {
-            g.pre_live -= 1;
-            g.promotions += 1;
+        let slot = &mut g.procs[pid];
+        slot.state = ProcState::Running;
+        if slot.site == ParkSite::Voluntary {
+            slot.last_run = g.pass;
         }
         g.running = Some(pid);
-        if shared.width > 1 {
-            pre_release(g, shared, pid);
-        }
         return Decision::Run(pid);
     }
-}
-
-/// The sharded scheduling step — one LBTS merge round per call. Identical
-/// commit semantics to the serial [`decide`]: drain mailboxes, compare the W
-/// wheel heads and W ready heads by their full keys, apply every event due
-/// at or before the earliest ready process (events win ties), then grant the
-/// token to the global-minimum ready process and count shards stalled past
-/// the lookahead horizon.
-fn decide_sharded<W: World>(g: &mut Inner<W>, shared: &Shared<W>) -> Decision {
-    g.shard.as_mut().expect("sharded decide").lbts_rounds += 1;
-    loop {
-        if g.poisoned.is_some() {
-            return Decision::Idle;
-        }
-        let ss = g.shard.as_mut().expect("sharded decide");
-        ss.drain_mail();
-        let ready_min = ss.min_ready();
-        let limit = ready_min.map_or(SimTime(u64::MAX), |(t, _, _, _)| t);
-        if let Some((te, _, s)) = ss.min_event() {
-            if te <= limit {
-                let (t, ev) = ss.wheels[s].pop().expect("peeked wheel head");
-                ss.cur = s;
-                g.events_processed += 1;
-                let mut wakes = std::mem::take(&mut g.wake_scratch);
-                {
-                    let inner = &mut *g;
-                    let mut api = Api {
-                        now: t,
-                        queue: &mut inner.queue,
-                        wakes: &mut wakes,
-                        shard: inner.shard.as_mut(),
-                        dst_of: W::event_dst,
-                    };
-                    inner.world.handle_event(ev, &mut api);
-                }
-                apply_wakes(g, &shared.clocks, t, &wakes);
-                wakes.clear();
-                g.wake_scratch = wakes;
-                continue;
-            }
-        }
-        let Some((t, _, pid, s)) = ready_min else {
-            return Decision::Idle;
-        };
-        ss.readys[s].pop();
-        ss.ready_len -= 1;
-        ss.cur = s;
-        // Count shards with no activity due inside the lookahead horizon of
-        // this grant: on real parallel hardware these are the ones an LBTS
-        // barrier would leave idle this round. Pure observability.
-        let horizon = SimTime(t.0.saturating_add(shared.lookahead_ns));
-        for (i, (wq, rh)) in ss.wheels.iter().zip(&ss.readys).enumerate() {
-            if i == s {
-                continue;
-            }
-            let bound = match (wq.peek_key(), rh.peek()) {
-                (Some((tw, _)), Some((tr, _, _))) => tw.min(tr),
-                (Some((tw, _)), None) => tw,
-                (None, Some((tr, _, _))) => tr,
-                (None, None) => continue,
-            };
-            if bound > horizon {
-                ss.stalls += 1;
-            }
-        }
-        debug_assert_eq!(g.procs[pid].state, ProcState::Ready);
-        g.pass += 1;
-        let pass = g.pass;
-        let promoted = {
-            let slot = &mut g.procs[pid];
-            slot.state = ProcState::Running;
-            if slot.site == ParkSite::Voluntary {
-                slot.last_run = pass;
-            }
-            std::mem::replace(&mut slot.pre, false)
-        };
-        if promoted {
-            g.pre_live -= 1;
-            g.promotions += 1;
-        }
-        g.running = Some(pid);
-        if shared.width > 1 {
-            pre_release(g, shared, pid);
-        }
-        return Decision::Run(pid);
-    }
-}
-
-/// Release up to `width - 1` compute-parked ready processes whose clocks lie
-/// within the token holder's lookahead window so they overlap their pure
-/// compute with the serial schedule. They stay in the ready heap and are
-/// promoted (committed) only when popped, so which processes are released —
-/// and the window size itself — can never change results.
-fn pre_release<W: World>(g: &mut Inner<W>, shared: &Shared<W>, holder: ProcId) {
-    let budget = shared.width.saturating_sub(1 + g.pre_live);
-    if budget == 0 {
-        return;
-    }
-    let horizon = SimTime(g.procs[holder].clock.0.saturating_add(shared.lookahead_ns));
-    let mut picks = std::mem::take(&mut g.pre_scratch);
-    picks.clear();
-    match &g.shard {
-        Some(ss) => {
-            'scan: for rh in &ss.readys {
-                for &(t, _, p) in rh.iter() {
-                    if picks.len() >= budget {
-                        break 'scan;
-                    }
-                    if t <= horizon && !g.procs[p].pre && g.procs[p].site == ParkSite::Compute {
-                        picks.push(p);
-                    }
-                }
-            }
-        }
-        None => {
-            for &(t, _, p) in g.ready.iter() {
-                if picks.len() >= budget {
-                    break;
-                }
-                if t <= horizon && !g.procs[p].pre && g.procs[p].site == ParkSite::Compute {
-                    picks.push(p);
-                }
-            }
-        }
-    }
-    for &p in &picks {
-        g.procs[p].pre = true;
-        g.pre_live += 1;
-        g.pre_releases += 1;
-        shared.gates[p].open(GateCmd::Pre);
-    }
-    g.pre_scratch = picks;
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GateCmd {
     Hold,
     Run,
-    /// Parallel mode: resume and run ahead of the token (pure compute only);
-    /// park for promotion at the next world interaction.
-    Pre,
     Poison,
 }
 
@@ -923,24 +516,10 @@ struct Shared<W: World> {
     /// Compute coalescing enabled (default; `VIAMPI_NO_COALESCE=1` or
     /// [`Engine::set_coalesce`] disables it).
     coalesce: bool,
-    /// Maximum concurrently-executing processes (1 = serial; >1 enables
-    /// conservative pre-release, from `VIAMPI_PAR` / [`Engine::set_par`]).
-    par: usize,
-    /// Effective pre-release width: `max(par, shards)` under the thread
-    /// backend (a sharded run overlaps up to one process per shard without
-    /// also setting `VIAMPI_PAR`), `1` under sm (single OS thread).
-    width: usize,
-    /// Effective shard count of the run (1 = serial scheduling structures).
-    shards: usize,
-    /// Pre-release window in nanoseconds past the token holder's clock.
-    lookahead_ns: u64,
     /// Per-process deferred compute time (nanoseconds) not yet applied to
     /// the authoritative clock. Written only by the owning process
     /// (relaxed: no other thread reads it meaningfully mid-stretch).
     deferred: Vec<AtomicU64>,
-    /// Owner-maintained flag: this process consumed a `Pre` grant and must
-    /// wait for promotion before its next lock-protected operation.
-    pre_flag: Vec<AtomicBool>,
     /// `advance` calls absorbed into deferred clocks (whole run).
     coalesce_advances: AtomicU64,
     /// Deferred stretches flushed as one authoritative advance (whole run).
@@ -1037,26 +616,14 @@ impl<W: World> ProcCtx<W> {
         self.advance_sync(d);
     }
 
-    /// Re-join the authoritative schedule before a lock-protected
-    /// operation: wait for promotion if this process is running ahead of a
-    /// pre-release grant, then flush any deferred compute time as a single
-    /// authoritative advance. Every public world-touching entry point calls
-    /// this first.
+    /// Flush any deferred compute time as a single authoritative advance
+    /// before a lock-protected operation. Every public world-touching entry
+    /// point calls this first.
     fn sync(&self) {
-        loop {
-            if self.shared.pre_flag[self.pid].load(Ordering::Relaxed) {
-                self.await_promotion();
-            }
-            let d = self.shared.deferred[self.pid].swap(0, Ordering::Relaxed);
-            if d == 0 {
-                return;
-            }
+        let d = self.shared.deferred[self.pid].swap(0, Ordering::Relaxed);
+        if d != 0 {
             self.shared.coalesce_flushes.fetch_add(1, Ordering::Relaxed);
             self.advance_sync(SimDuration::nanos(d));
-            // The flush itself may have parked us and been answered with a
-            // `Pre` grant (run-ahead). There is no user code left to run
-            // ahead of here — the caller is about to touch the world — so
-            // loop and wait for promotion before letting it proceed.
         }
     }
 
@@ -1074,7 +641,7 @@ impl<W: World> ProcCtx<W> {
         let key = sched_key(g.sched_seed, g.procs[self.pid].last_run, self.pid, clock);
         g.procs[self.pid].state = ProcState::Ready;
         g.procs[self.pid].site = ParkSite::Compute;
-        g.push_ready(clock, key, self.pid);
+        g.ready.push(clock, key, self.pid);
         self.relinquish(g);
     }
 
@@ -1095,7 +662,7 @@ impl<W: World> ProcCtx<W> {
         let key = sched_key(g.sched_seed, g.procs[self.pid].last_run, self.pid, clock);
         g.procs[self.pid].state = ProcState::Ready;
         g.procs[self.pid].site = ParkSite::Voluntary;
-        g.push_ready(clock, key, self.pid);
+        g.ready.push(clock, key, self.pid);
         self.relinquish(g);
     }
 
@@ -1106,17 +673,12 @@ impl<W: World> ProcCtx<W> {
         let mut g = self.shared.inner.lock();
         let now = g.procs[self.pid].clock;
         let inner = &mut *g;
-        if let Some(ss) = &mut inner.shard {
-            ss.cur = ss.shard_of[self.pid];
-        }
         let mut wakes = std::mem::take(&mut inner.wake_scratch);
         let r = {
             let mut api = Api {
                 now,
                 queue: &mut inner.queue,
                 wakes: &mut wakes,
-                shard: inner.shard.as_mut(),
-                dst_of: W::event_dst,
             };
             f(&mut inner.world, &mut api)
         };
@@ -1136,17 +698,12 @@ impl<W: World> ProcCtx<W> {
             let mut g = self.shared.inner.lock();
             let now = g.procs[self.pid].clock;
             let inner = &mut *g;
-            if let Some(ss) = &mut inner.shard {
-                ss.cur = ss.shard_of[self.pid];
-            }
             let mut wakes = std::mem::take(&mut inner.wake_scratch);
             let out = {
                 let mut api = Api {
                     now,
                     queue: &mut inner.queue,
                     wakes: &mut wakes,
-                    shard: inner.shard.as_mut(),
-                    dst_of: W::event_dst,
                 };
                 f(&mut inner.world, &mut api)
             };
@@ -1206,10 +763,8 @@ impl<W: World> ProcCtx<W> {
         }
     }
 
-    /// Flush any deferred compute time (waiting for promotion first if this
-    /// process is running ahead), so the process finishes — or reaches its
-    /// next phase — as the authoritative token holder. Called once when the
-    /// body returns.
+    /// Flush any deferred compute time, so the process finishes with an
+    /// authoritative clock. Called once when the body returns.
     fn retire(&self) {
         self.sync();
     }
@@ -1226,28 +781,8 @@ impl<W: World> ProcCtx<W> {
     fn park(&self) {
         match self.shared.gates[self.pid].wait() {
             GateCmd::Run => {}
-            GateCmd::Pre => self.shared.pre_flag[self.pid].store(true, Ordering::Relaxed),
             GateCmd::Poison => panic::panic_any(SimPoison),
             GateCmd::Hold => unreachable!(),
-        }
-    }
-
-    /// Park at the gate until the scheduler promotes this pre-released
-    /// process to token holder (pops its ready-heap entry).
-    fn await_promotion(&self) {
-        loop {
-            match self.shared.gates[self.pid].wait() {
-                GateCmd::Run => {
-                    self.shared.pre_flag[self.pid].store(false, Ordering::Relaxed);
-                    return;
-                }
-                GateCmd::Pre => {} // duplicate pre-release: keep waiting
-                GateCmd::Poison => {
-                    self.shared.pre_flag[self.pid].store(false, Ordering::Relaxed);
-                    panic::panic_any(SimPoison)
-                }
-                GateCmd::Hold => unreachable!(),
-            }
         }
     }
 }
@@ -1265,8 +800,7 @@ fn apply_wakes<W: World>(
             slot.clock = slot.clock.max(now);
             clocks[pid].store(slot.clock.0, Ordering::Release);
             let key = sched_key(inner.sched_seed, slot.last_run, pid, slot.clock);
-            let clock = slot.clock;
-            inner.push_ready(clock, key, pid);
+            inner.ready.push(slot.clock, key, pid);
         }
     }
 }
@@ -1336,10 +870,7 @@ pub struct Engine<W: World> {
     world: Option<W>,
     bodies: Vec<(String, ProcBody<W>)>,
     sched_seed: Option<u64>,
-    par: Option<usize>,
-    shards: Option<usize>,
     coalesce: Option<bool>,
-    lookahead: SimDuration,
     backend: Option<Backend>,
 }
 
@@ -1350,10 +881,7 @@ impl<W: World> Engine<W> {
             world: Some(world),
             bodies: Vec::new(),
             sched_seed: None,
-            par: None,
-            shards: None,
             coalesce: None,
-            lookahead: SimDuration::ZERO,
             backend: None,
         }
     }
@@ -1366,38 +894,11 @@ impl<W: World> Engine<W> {
         self.backend = backend;
     }
 
-    /// Set the maximum number of concurrently-executing processes for the
-    /// conservative parallel mode (see the module docs). `None` (the
-    /// default) falls back to the `VIAMPI_PAR` environment variable; `1`
-    /// runs serially. Results are byte-identical at any value.
-    pub fn set_par(&mut self, par: Option<usize>) {
-        self.par = par;
-    }
-
-    /// Set the shard count of the sharded conservative mode (see the module
-    /// docs). `None` (the default) falls back to the `VIAMPI_SHARDS`
-    /// environment variable; `1` — or any world of fewer than two processes
-    /// — runs the serial scheduling structures. The effective count is
-    /// clamped to the process count. Results are byte-identical at any
-    /// value.
-    pub fn set_shards(&mut self, shards: Option<usize>) {
-        self.shards = shards;
-    }
-
     /// Enable/disable compute coalescing explicitly. `None` (the default)
     /// falls back to the environment: on unless `VIAMPI_NO_COALESCE=1`.
     /// Results are byte-identical either way.
     pub fn set_coalesce(&mut self, coalesce: Option<bool>) {
         self.coalesce = coalesce;
-    }
-
-    /// Pre-release window for the parallel mode: how far past the token
-    /// holder's clock a compute-parked process may be released to run
-    /// ahead. Callers derive it from the device cost model's minimum
-    /// cross-rank influence latency. Correctness never depends on the
-    /// value (promotion is the commit gate); it only tunes overlap.
-    pub fn set_lookahead(&mut self, lookahead: SimDuration) {
-        self.lookahead = lookahead;
     }
 
     /// Install a schedule-exploration seed. When set, equal-clock scheduling
@@ -1434,49 +935,10 @@ impl<W: World> Engine<W> {
                  use VIAMPI_ENGINE=threads"
             );
         }
-        // Resolve the shard count: explicit setting, then `VIAMPI_SHARDS`,
-        // then serial. Worlds of fewer than two processes cannot shard.
-        let req_shards = self
-            .shards
-            .or_else(|| {
-                std::env::var("VIAMPI_SHARDS")
-                    .ok()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-            })
-            .unwrap_or(1)
-            .max(1);
-        let shards = if n >= 2 && req_shards >= 2 {
-            req_shards.min(n)
-        } else {
-            1
-        };
-        // The sm backend multiplexes every process onto this thread, so
-        // pre-release cannot overlap anything (same clamp as `par`).
-        let par = if backend == Backend::Sm {
-            1
-        } else {
-            self.par
-                .or_else(|| {
-                    std::env::var("VIAMPI_PAR")
-                        .ok()
-                        .and_then(|s| s.trim().parse::<usize>().ok())
-                })
-                .unwrap_or(1)
-                .max(1)
-        };
-        let width = if backend == Backend::Sm {
-            1
-        } else {
-            par.max(shards)
-        };
-        let mut ready = ReadyHeap::with_capacity(if shards > 1 { 0 } else { n });
-        let mut shard = (shards > 1).then(|| ShardSched::new(n, shards));
+        let mut ready = ReadyHeap::with_capacity(n);
         for pid in 0..n {
             let key = sched_key(self.sched_seed, 0, pid, SimTime::ZERO);
-            match &mut shard {
-                Some(ss) => ss.push_ready(SimTime::ZERO, key, pid),
-                None => ready.push(SimTime::ZERO, key, pid),
-            }
+            ready.push(SimTime::ZERO, key, pid);
         }
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
@@ -1491,7 +953,6 @@ impl<W: World> Engine<W> {
                         state: ProcState::Ready,
                         last_run: 0,
                         site: ParkSite::Voluntary,
-                        pre: false,
                     })
                     .collect(),
                 ready,
@@ -1502,14 +963,9 @@ impl<W: World> Engine<W> {
                 fast_resumes: 0,
                 direct_handoffs: 0,
                 direct_self: 0,
-                pre_releases: 0,
-                promotions: 0,
-                pre_live: 0,
                 wake_scratch: Vec::with_capacity(8),
-                pre_scratch: Vec::new(),
                 sched_seed: self.sched_seed,
                 sm_polls: 0,
-                shard,
             }),
             engine_cv: Condvar::new(),
             gates: (0..n).map(|_| Arc::new(Gate::new())).collect(),
@@ -1518,12 +974,7 @@ impl<W: World> Engine<W> {
             coalesce: self
                 .coalesce
                 .unwrap_or_else(|| std::env::var_os("VIAMPI_NO_COALESCE").is_none()),
-            par,
-            width,
-            shards,
-            lookahead_ns: self.lookahead.as_nanos(),
             deferred: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            pre_flag: (0..n).map(|_| AtomicBool::new(false)).collect(),
             coalesce_advances: AtomicU64::new(0),
             coalesce_flushes: AtomicU64::new(0),
             sm: (backend == Backend::Sm).then(|| FiberSet::new(n, sm_stack_size())),
@@ -1589,7 +1040,7 @@ impl<W: World> Engine<W> {
                 let handle = std::thread::Builder::new()
                     .name(format!("sim-{name}"))
                     .spawn(move || {
-                        // Wait to be scheduled (or pre-released) the first time.
+                        // Wait to be scheduled the first time.
                         match shared2.gates[pid].wait() {
                             GateCmd::Poison => {
                                 let mut g = shared2.inner.lock();
@@ -1600,15 +1051,13 @@ impl<W: World> Engine<W> {
                                 return;
                             }
                             GateCmd::Run => {}
-                            GateCmd::Pre => shared2.pre_flag[pid].store(true, Ordering::Relaxed),
                             GateCmd::Hold => unreachable!(),
                         }
                         let epilogue = ctx.clone();
                         let result = panic::catch_unwind(AssertUnwindSafe(|| {
                             body(ctx);
-                            // Flush deferred compute (and wait for promotion if
-                            // running ahead) so the finish time is authoritative
-                            // and the epilogue below runs as the token holder.
+                            // Flush deferred compute so the finish time is
+                            // authoritative.
                             epilogue.retire();
                         }));
                         let mut g = shared2.inner.lock();
@@ -1645,8 +1094,6 @@ impl<W: World> Engine<W> {
             .unwrap_or_else(|_| panic!("simulation threads leaked a ProcCtx"));
         let coalesce_advances = shared.coalesce_advances.load(Ordering::Relaxed);
         let coalesce_flushes = shared.coalesce_flushes.load(Ordering::Relaxed);
-        let par_workers = shared.par as u64;
-        let shard_workers = shared.shards as u64;
         let sm_stats: FiberStats = shared.sm.as_ref().map(|fs| fs.stats()).unwrap_or_default();
         let inner = shared.inner.into_inner();
 
@@ -1666,56 +1113,22 @@ impl<W: World> Engine<W> {
             reg.add(em::HANDOFFS, inner.pass);
             reg.add(em::EVENTS, inner.events_processed);
             reg.add(em::FAST_RESUMES, inner.fast_resumes);
-            // In sharded mode the per-shard wheels are authoritative: fold
-            // their stats component-wise and take the global seq counter as
-            // the scheduled-events total.
-            let (scheduled, ws, queue_peak, ready_peak) = match &inner.shard {
-                Some(ss) => {
-                    let mut ws = crate::queue::WheelStats::default();
-                    let mut peak = 0usize;
-                    for wq in &ss.wheels {
-                        let s = wq.wheel_stats();
-                        ws.push_due += s.push_due;
-                        ws.push_l0 += s.push_l0;
-                        ws.push_l1 += s.push_l1;
-                        ws.push_overflow += s.push_overflow;
-                        ws.cascades += s.cascades;
-                        peak += wq.peak();
-                    }
-                    (ss.next_seq, ws, peak, ss.ready_peak)
-                }
-                None => (
-                    inner.queue.scheduled_total(),
-                    inner.queue.wheel_stats(),
-                    inner.queue.peak(),
-                    inner.ready.peak,
-                ),
-            };
-            reg.add(em::EVENTS_SCHEDULED, scheduled);
+            reg.add(em::EVENTS_SCHEDULED, inner.queue.scheduled_total());
             reg.add(em::COALESCE_ADVANCES, coalesce_advances);
             reg.add(em::COALESCE_FLUSHES, coalesce_flushes);
             reg.add(em::DIRECT_HANDOFFS, inner.direct_handoffs);
             reg.add(em::DIRECT_SELF, inner.direct_self);
-            reg.add(em::PAR_PRE_RELEASES, inner.pre_releases);
-            reg.add(em::PAR_PROMOTIONS, inner.promotions);
             reg.add(em::SM_POLLS, inner.sm_polls);
             reg.add(em::SM_PARKS, sm_stats.parks);
             reg.add(em::SM_RESUMES, sm_stats.starts + sm_stats.resumes);
-            if let Some(ss) = &inner.shard {
-                reg.add(em::SHARD_LBTS_ROUNDS, ss.lbts_rounds);
-                reg.add(em::SHARD_CROSS_SENDS, ss.cross_sends);
-                reg.add(em::SHARD_STALLS, ss.stalls);
-                reg.gauge_max(em::SHARD_MAILBOX_PEAK, ss.mailbox_peak as u64);
-            }
+            let ws = inner.queue.wheel_stats();
             reg.add(em::WHEEL_DUE, ws.push_due);
             reg.add(em::WHEEL_L0, ws.push_l0);
             reg.add(em::WHEEL_L1, ws.push_l1);
             reg.add(em::WHEEL_OVERFLOW, ws.push_overflow);
             reg.add(em::WHEEL_CASCADES, ws.cascades);
-            reg.gauge_max(em::READY_PEAK, ready_peak as u64);
-            reg.gauge_max(em::QUEUE_PEAK, queue_peak as u64);
-            reg.gauge_max(em::PAR_WORKERS, par_workers);
-            reg.gauge_max(em::SHARD_WORKERS, shard_workers);
+            reg.gauge_max(em::READY_PEAK, inner.ready.peak as u64);
+            reg.gauge_max(em::QUEUE_PEAK, inner.queue.peak() as u64);
             reg.gauge_max(em::SM_RANK_MEM_PEAK, sm_stats.stack_bytes_peak);
             reg.snapshot()
         };
@@ -1921,12 +1334,6 @@ mod tests {
                         api.wake(pid);
                     }
                 }
-            }
-        }
-
-        fn event_dst(ev: &MailEvent) -> Option<ProcId> {
-            match ev {
-                MailEvent::Deliver { to, .. } => Some(*to),
             }
         }
     }
@@ -2351,41 +1758,18 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compute coalescing + parallel pre-release
+    // Compute coalescing
     // ------------------------------------------------------------------
 
     /// A mixed compute/communication workload, run under an explicit
     /// engine configuration; returns every virtual-time observable.
     fn modes_workload(
-        coalesce: Option<bool>,
-        par: Option<usize>,
-        lookahead: SimDuration,
-    ) -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
-        modes_workload_on(None, coalesce, par, lookahead)
-    }
-
-    fn modes_workload_on(
         backend: Option<Backend>,
         coalesce: Option<bool>,
-        par: Option<usize>,
-        lookahead: SimDuration,
-    ) -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
-        modes_workload_full(backend, coalesce, par, None, lookahead)
-    }
-
-    fn modes_workload_full(
-        backend: Option<Backend>,
-        coalesce: Option<bool>,
-        par: Option<usize>,
-        shards: Option<usize>,
-        lookahead: SimDuration,
     ) -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
         let mut eng = Engine::new(MailWorld::new(5));
         eng.set_backend(backend);
         eng.set_coalesce(coalesce);
-        eng.set_par(par);
-        eng.set_shards(shards);
-        eng.set_lookahead(lookahead);
         for s in 0..4usize {
             eng.spawn(format!("s{s}"), move |ctx| {
                 for i in 0..12u64 {
@@ -2415,44 +1799,9 @@ mod tests {
 
     #[test]
     fn coalescing_on_and_off_are_bit_identical() {
-        let lazy = modes_workload(Some(true), None, SimDuration::ZERO);
-        let eager = modes_workload(Some(false), None, SimDuration::ZERO);
+        let lazy = modes_workload(None, Some(true));
+        let eager = modes_workload(None, Some(false));
         assert_eq!(lazy, eager, "lazy vs eager compute charging must agree");
-    }
-
-    #[test]
-    fn parallel_mode_matches_serial_at_any_width() {
-        let serial = modes_workload(None, Some(1), SimDuration::ZERO);
-        for n in [2usize, 4, 8] {
-            let par = modes_workload(None, Some(n), SimDuration::micros(5));
-            assert_eq!(par, serial, "VIAMPI_PAR={n} must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn parallel_mode_actually_pre_releases() {
-        let mut eng = Engine::new(MailWorld::new(4));
-        eng.set_par(Some(4));
-        eng.set_lookahead(SimDuration::micros(100));
-        for pid in 0..4usize {
-            eng.spawn(format!("p{pid}"), move |ctx| {
-                for _ in 0..50 {
-                    ctx.advance(SimDuration::nanos(40));
-                    ctx.with_world(|_, _| {});
-                }
-            });
-        }
-        let (_, out) = eng.run().unwrap();
-        assert!(
-            out.metrics.get("sim.par.pre_releases").unwrap_or(0) > 0,
-            "equal-clock compute-parked peers should overlap"
-        );
-        assert_eq!(
-            out.metrics.get("sim.par.pre_releases"),
-            out.metrics.get("sim.par.promotions"),
-            "every pre-released process is promoted exactly once"
-        );
-        assert_eq!(out.metrics.get("sim.par.workers"), Some(4));
     }
 
     #[test]
@@ -2499,159 +1848,23 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Sharded conservative mode
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn sharded_matches_serial_at_any_width() {
-        let serial = modes_workload_full(None, None, None, Some(1), SimDuration::ZERO);
-        for w in [2usize, 3, 4, 8] {
-            let sharded = modes_workload_full(None, None, None, Some(w), SimDuration::micros(4));
-            assert_eq!(sharded, serial, "VIAMPI_SHARDS={w} must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn sharded_composes_with_coalescing_and_par() {
-        let serial = modes_workload_full(None, Some(true), Some(1), Some(1), SimDuration::ZERO);
-        let legs = [
-            modes_workload_full(None, Some(false), Some(1), Some(2), SimDuration::micros(4)),
-            modes_workload_full(None, Some(true), Some(2), Some(2), SimDuration::micros(4)),
-            modes_workload_full(None, Some(false), Some(4), Some(4), SimDuration::micros(4)),
-        ];
-        for (i, leg) in legs.iter().enumerate() {
-            assert_eq!(leg, &serial, "composition leg {i} must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn shard_counters_populate_and_serial_stays_zero() {
-        let run = |shards: usize| {
-            let mut eng = Engine::new(MailWorld::new(4));
-            eng.set_shards(Some(shards));
-            eng.set_lookahead(SimDuration::micros(2));
-            for pid in 0..3usize {
-                eng.spawn(format!("p{pid}"), move |ctx| {
-                    for i in 0..10u64 {
-                        ctx.advance(SimDuration::nanos(70 * (pid as u64 + 1)));
-                        send(&ctx, 3, pid as u64 * 100 + i, SimDuration::micros(1));
-                    }
-                });
-            }
-            eng.spawn("sink", |ctx| {
-                for _ in 0..30 {
-                    recv(&ctx);
-                }
-            });
-            eng.run().unwrap().1
-        };
-        let sharded = run(2);
-        assert!(sharded.metrics.get("sim.shard.lbts_rounds").unwrap() > 0);
-        assert!(
-            sharded.metrics.get("sim.shard.cross_sends").unwrap() > 0,
-            "pids 0–1 live on shard 0 and the sink on shard 1, so deliveries cross"
-        );
-        assert!(sharded.metrics.get("sim.shard.mailbox_peak").unwrap() > 0);
-        assert_eq!(sharded.metrics.get("sim.shard.workers"), Some(2));
-        let serial = run(1);
-        assert_eq!(serial.metrics.get("sim.shard.lbts_rounds"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.cross_sends"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.stalls"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.mailbox_peak"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.workers"), Some(1));
-        // The scheduler-proper observables are shard-independent.
-        assert_eq!(sharded.end_time, serial.end_time);
-        assert_eq!(sharded.events_processed, serial.events_processed);
-        assert_eq!(sharded.proc_finish, serial.proc_finish);
-        assert_eq!(
-            sharded.metrics.get("sim.events_scheduled"),
-            serial.metrics.get("sim.events_scheduled"),
-            "global sequence counter must reproduce the serial insertion count"
-        );
-    }
-
-    #[test]
-    fn sharding_alone_enables_pre_release_under_threads() {
-        let mut eng = Engine::new(MailWorld::new(4));
-        eng.set_backend(Some(Backend::Threads));
-        eng.set_shards(Some(4));
-        eng.set_par(Some(1));
-        eng.set_lookahead(SimDuration::micros(100));
-        for pid in 0..4usize {
-            eng.spawn(format!("p{pid}"), move |ctx| {
-                for _ in 0..50 {
-                    ctx.advance(SimDuration::nanos(40));
-                    ctx.with_world(|_, _| {});
-                }
-            });
-        }
-        let (_, out) = eng.run().unwrap();
-        assert!(
-            out.metrics.get("sim.par.pre_releases").unwrap_or(0) > 0,
-            "effective width is max(par, shards) = 4"
-        );
-        assert_eq!(
-            out.metrics.get("sim.par.pre_releases"),
-            out.metrics.get("sim.par.promotions"),
-        );
-        assert_eq!(out.metrics.get("sim.shard.workers"), Some(4));
-    }
-
-    #[test]
-    fn sharded_deadlock_and_panic_teardown() {
-        let mut eng = Engine::new(MailWorld::new(2));
-        eng.set_shards(Some(2));
-        eng.spawn("a", |ctx| {
-            recv(&ctx); // nobody ever sends
-        });
-        eng.spawn("b", |ctx| {
-            ctx.advance(SimDuration::micros(1));
-        });
-        match eng.run() {
-            Err(SimError::Deadlock { blocked, .. }) => {
-                assert_eq!(blocked.len(), 1);
-                assert_eq!(blocked[0].name, "a");
-            }
-            other => panic!("expected deadlock, got {:?}", other.map(|(_, o)| o)),
-        }
-
-        let mut eng = Engine::new(MailWorld::new(3));
-        eng.set_shards(Some(3));
-        eng.spawn("victim", |ctx| {
-            ctx.advance(SimDuration::micros(1));
-            panic!("boom in shard");
-        });
-        eng.spawn("waiter", |ctx| {
-            recv(&ctx);
-        });
-        eng.spawn("sleeper", |ctx| {
-            ctx.advance(SimDuration::millis(1000));
-        });
-        match eng.run() {
-            Err(SimError::ProcPanic { name, message }) => {
-                assert_eq!(name, "victim");
-                assert!(message.contains("boom in shard"), "got {message:?}");
-            }
-            other => panic!("expected panic error, got {:?}", other.map(|(_, o)| o)),
-        }
-    }
-
-    #[test]
-    fn shard_request_is_clamped_to_world_size() {
-        let mut eng = Engine::new(MailWorld::new(1));
-        eng.set_shards(Some(8));
-        eng.spawn("lone", |ctx| ctx.advance(SimDuration::micros(1)));
-        let (_, out) = eng.run().unwrap();
-        assert_eq!(
-            out.metrics.get("sim.shard.workers"),
-            Some(1),
-            "a single-process world cannot shard"
-        );
-    }
-
-    // ------------------------------------------------------------------
     // Proc-state-machine (sm) backend
     // ------------------------------------------------------------------
+
+    #[test]
+    fn sm_stack_parse_defaults_and_uses_byte_counts() {
+        assert_eq!(parse_sm_stack(None), 1 << 20);
+        assert_eq!(parse_sm_stack(Some("")), 1 << 20);
+        assert_eq!(parse_sm_stack(Some("  ")), 1 << 20);
+        assert_eq!(parse_sm_stack(Some("65536")), 65536);
+        assert_eq!(parse_sm_stack(Some(" 262144\n")), 262144);
+    }
+
+    #[test]
+    #[should_panic(expected = "VIAMPI_SM_STACK must be a byte count, got \"1M\"")]
+    fn sm_stack_parse_rejects_garbage() {
+        parse_sm_stack(Some("1M"));
+    }
 
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     mod sm_backend {
@@ -2659,45 +1872,16 @@ mod tests {
 
         #[test]
         fn matches_threads_bit_for_bit() {
-            let threads = modes_workload_on(Some(Backend::Threads), None, None, SimDuration::ZERO);
-            let sm = modes_workload_on(Some(Backend::Sm), None, None, SimDuration::ZERO);
+            let threads = modes_workload(Some(Backend::Threads), None);
+            let sm = modes_workload(Some(Backend::Sm), None);
             assert_eq!(sm, threads, "sm backend must be byte-identical");
         }
 
         #[test]
         fn matches_threads_with_coalescing_off() {
-            let threads =
-                modes_workload_on(Some(Backend::Threads), Some(false), None, SimDuration::ZERO);
-            let sm = modes_workload_on(Some(Backend::Sm), Some(false), None, SimDuration::ZERO);
+            let threads = modes_workload(Some(Backend::Threads), Some(false));
+            let sm = modes_workload(Some(Backend::Sm), Some(false));
             assert_eq!(sm, threads, "sm × eager compute must be byte-identical");
-        }
-
-        #[test]
-        fn sharded_sm_matches_serial_and_threads() {
-            let serial = modes_workload_full(
-                Some(Backend::Threads),
-                None,
-                None,
-                Some(1),
-                SimDuration::ZERO,
-            );
-            for w in [2usize, 4] {
-                let sm = modes_workload_full(
-                    Some(Backend::Sm),
-                    None,
-                    None,
-                    Some(w),
-                    SimDuration::micros(4),
-                );
-                assert_eq!(sm, serial, "sm × shards={w} must be byte-identical");
-            }
-        }
-
-        #[test]
-        fn par_request_is_clamped_without_changing_results() {
-            let serial = modes_workload_on(Some(Backend::Sm), None, Some(1), SimDuration::ZERO);
-            let par = modes_workload_on(Some(Backend::Sm), None, Some(4), SimDuration::micros(5));
-            assert_eq!(par, serial, "sm clamps par to 1; results must not move");
         }
 
         #[test]

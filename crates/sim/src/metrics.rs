@@ -142,14 +142,9 @@ pub mod engine {
             COALESCE_FLUSHES => "sim.coalesce.flushes": "Deferred compute stretches flushed as one authoritative advance",
             DIRECT_HANDOFFS => "sim.direct.handoffs": "Token grants performed inline by the yielding process",
             DIRECT_SELF => "sim.direct.self_resumes": "Inline decisions that returned the token to the caller after event processing",
-            PAR_PRE_RELEASES => "sim.par.pre_releases": "Processes released to run ahead inside the lookahead window",
-            PAR_PROMOTIONS => "sim.par.promotions": "Pre-released processes promoted to token holder",
             SM_POLLS => "sim.sm.polls": "Scheduling decisions taken by the state-machine backend's driver paths",
             SM_PARKS => "sim.sm.parks": "Fiber suspensions under the state-machine backend",
             SM_RESUMES => "sim.sm.resumes": "Fiber activations (first starts and resumes) under the state-machine backend",
-            SHARD_LBTS_ROUNDS => "sim.shard.lbts_rounds": "Lower-bound-timestamp merge rounds taken by the sharded scheduler",
-            SHARD_CROSS_SENDS => "sim.shard.cross_sends": "Events routed across shards through SPSC mailboxes",
-            SHARD_STALLS => "sim.shard.stalls": "Shards observed blocked past the lookahead horizon during LBTS rounds",
             WHEEL_DUE => "sim.wheel.push_due": "Events pushed straight into the due front-buffer heap",
             WHEEL_L0 => "sim.wheel.push_l0": "Events filed in a level-0 wheel slot",
             WHEEL_L1 => "sim.wheel.push_l1": "Events filed in a level-1 wheel slot",
@@ -159,9 +154,6 @@ pub mod engine {
         gauges {
             READY_PEAK => "sim.ready_peak": "Peak ready-heap depth",
             QUEUE_PEAK => "sim.queue_peak": "Peak event-queue occupancy",
-            PAR_WORKERS => "sim.par.workers": "Configured maximum concurrently-executing processes",
-            SHARD_MAILBOX_PEAK => "sim.shard.mailbox_peak": "Peak number of in-flight cross-shard mailbox events",
-            SHARD_WORKERS => "sim.shard.workers": "Effective shard count of the run (1 when serial)",
             SM_RANK_MEM_PEAK => "sim.sm.rank_mem_peak": "Largest per-rank fiber stack usage in bytes (state-machine backend)",
         }
         hists {}

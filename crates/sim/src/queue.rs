@@ -8,8 +8,8 @@
 //!
 //! Layout: a `due` front buffer holds the events of the earliest non-empty
 //! slot as a binary min-heap on `(time, seq)`: the minimum sits at `due[0]`,
-//! so [`EventQueue::peek_time`], [`EventQueue::peek_key`] and the limit test
-//! of [`EventQueue::pop_due`] are `O(1)`, while a pop and a push into the
+//! so [`EventQueue::peek_time`] and the limit test of
+//! [`EventQueue::pop_due`] are `O(1)`, while a pop and a push into the
 //! slot being drained are `O(log n)` — a burst of thousands of events
 //! landing in the current ~1 µs slot shifts no buffer. A refill of `due`
 //! from a wheel slot sorts it ascending, and a sorted array is already a
@@ -167,17 +167,6 @@ impl<E> EventQueue<E> {
         self.insert(at, seq, event);
     }
 
-    /// Schedule `event` with an externally assigned sequence number.
-    ///
-    /// The sharded engine runs one wheel per shard under a single global
-    /// insertion counter, so the W-way merge across wheels pops in exactly
-    /// the serial `(time, seq)` total order. The internal counter is left
-    /// untouched (the caller owns sequencing); `seq` values may arrive out
-    /// of order — every level of the wheel orders by the full key.
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        self.insert(at, seq, event);
-    }
-
     fn insert(&mut self, at: SimTime, seq: u64, event: E) {
         let e = Entry {
             time: at,
@@ -205,14 +194,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.due.first().map(|e| e.time)
-    }
-
-    /// Full `(time, seq)` key of the earliest pending event, if any — the
-    /// comparison key the sharded engine's W-way merge uses to pick the
-    /// globally earliest wheel head.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.due.first().map(|e| e.key())
     }
 
     /// Remove and return the earliest pending event.
@@ -597,7 +578,7 @@ mod tests {
             };
             q.push(at, r.seq);
             r.push(at);
-            assert_eq!(q.peek_key(), r.peek(), "push {i}");
+            assert_eq!(q.due.first().map(Entry::key), r.peek(), "push {i}");
             if rng.next_below(3) == 0 {
                 let limit = SimTime(rng.next_below(1024));
                 let want = match r.peek() {
@@ -654,52 +635,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharded_wheels_merge_in_serial_order() {
-        // Split a random event stream across W wheels under one external
-        // sequence counter; merging by peek_key must reproduce the exact
-        // pop order of a single wheel fed the same stream.
-        let mut rng = SplitMix64::new(0x5AAD);
-        for round in 0..20 {
-            let w = 2 + (round % 3) as usize;
-            let mut serial: EventQueue<u64> = EventQueue::new();
-            let mut wheels: Vec<EventQueue<u64>> = (0..w).map(|_| EventQueue::new()).collect();
-            let n = 1 + rng.next_below(300);
-            for seq in 0..n {
-                let at = SimTime(rng.next_below(1 << 14));
-                serial.push(at, seq);
-                wheels[rng.next_below(w as u64) as usize].push_with_seq(at, seq, seq);
-            }
-            loop {
-                let best = wheels
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, q)| q.peek_key().map(|k| (k, i)))
-                    .min();
-                match (serial.pop(), best) {
-                    (Some(want), Some((_, i))) => {
-                        assert_eq!(wheels[i].pop(), Some(want), "round {round}");
-                    }
-                    (None, None) => break,
-                    (a, b) => panic!("round {round}: serial {a:?} vs merge {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn push_with_seq_accepts_out_of_order_sequences() {
-        let mut q = EventQueue::new();
-        q.push_with_seq(t(5), 7, "late");
-        q.push_with_seq(t(5), 3, "early");
-        q.push_with_seq(t(1), 9, "first");
-        assert_eq!(q.peek_key(), Some((t(1), 9)));
-        assert_eq!(q.pop(), Some((t(1), "first")));
-        assert_eq!(q.pop(), Some((t(5), "early")));
-        assert_eq!(q.pop(), Some((t(5), "late")));
-        assert_eq!(q.scheduled_total(), 0, "external seqs leave the counter");
     }
 
     #[test]

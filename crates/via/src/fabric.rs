@@ -859,24 +859,6 @@ impl Fabric {
 impl World for Fabric {
     type Event = FabricEvent;
 
-    /// Destination node of each fabric event — every variant acts on
-    /// exactly one NIC, so the sharded engine can file it on that node's
-    /// shard wheel (ranks map 1:1 to nodes). Routing never affects results
-    /// (the merge order is the global `(time, seq)` total order); it only
-    /// determines which shard's wheel holds the event.
-    fn event_dst(event: &FabricEvent) -> Option<usize> {
-        Some(match event {
-            FabricEvent::TxDone { node, .. } => *node,
-            FabricEvent::Deliver { pkt } => pkt.dst.0,
-            FabricEvent::PeerReqArrive { dst, .. } => *dst,
-            FabricEvent::CsReqArrive { dst, .. } => *dst,
-            FabricEvent::Established { node, .. } => *node,
-            FabricEvent::CsRejected { node, .. } => *node,
-            FabricEvent::Timer { node } => *node,
-            FabricEvent::OobDeliver { dst, .. } => *dst,
-        })
-    }
-
     fn handle_event(&mut self, event: FabricEvent, api: &mut Api<'_, FabricEvent>) {
         let mut wake = Vec::new();
         match event {

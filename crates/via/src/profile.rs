@@ -183,17 +183,6 @@ impl DeviceProfile {
         let pages = bytes.div_ceil(4096);
         self.reg_mem_base + self.reg_mem_per_page.saturating_mul(pages as u64)
     }
-
-    /// Lower bound on the virtual time between any action by one rank and
-    /// its earliest possible effect on another rank through this device: the
-    /// cheapest cross-NIC path of either a zero-byte data message (doorbell →
-    /// NIC transmit → wire) or a connection request (`conn_wire`). Used as
-    /// the conservative lookahead window for the parallel engine mode — an
-    /// *optimization* bound only, never a correctness input.
-    pub fn min_latency(&self) -> SimDuration {
-        let data = self.doorbell + self.nic_tx + self.wire_latency;
-        data.min(self.conn_wire)
-    }
 }
 
 #[cfg(test)]
@@ -243,22 +232,6 @@ mod tests {
         assert!(DeviceProfile::berkeley().wait_is_polling);
         assert!(!DeviceProfile::clan().wait_is_polling);
         assert!(DeviceProfile::clan().wakeup > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn min_latency_is_the_cheapest_cross_rank_path() {
-        let c = DeviceProfile::clan();
-        assert_eq!(c.min_latency(), c.doorbell + c.nic_tx + c.wire_latency);
-        let b = DeviceProfile::berkeley();
-        assert_eq!(b.min_latency(), b.doorbell + b.nic_tx + b.wire_latency);
-        // The bound must not exceed any single-message delivery path: the
-        // cheapest data-plane hop is doorbell + tx (empty frame, lone VI) +
-        // wire propagation, and the cheapest control hop is conn_wire.
-        for p in [c, b] {
-            assert!(p.min_latency() <= p.doorbell + p.tx_time(0, 1) + p.wire_latency);
-            assert!(p.min_latency() <= p.conn_wire);
-            assert!(p.min_latency() > SimDuration::ZERO);
-        }
     }
 
     #[test]

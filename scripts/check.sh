@@ -8,8 +8,7 @@
 #   scripts/check.sh                       # the full gate (default)
 #   scripts/check.sh determinism [MODE]    # just the determinism suite,
 #                                          # MODE ∈ {fastpath (default),
-#                                          #         no-fastpath, par2, sm,
-#                                          #         shard, multivi}
+#                                          #         no-fastpath, sm, multivi}
 #   scripts/check.sh campaign [SECS]       # long timeboxed simcheck
 #                                          # campaign (default 600 s),
 #                                          # resuming the committed state
@@ -30,9 +29,7 @@ determinism_suite() {
     case "${1:-fastpath}" in
         fastpath) ;;
         no-fastpath) export VIAMPI_NO_FASTPATH=1 ;;
-        par2) export VIAMPI_PAR=2 ;;
         sm) export VIAMPI_ENGINE=sm ;;
-        shard) export VIAMPI_SHARDS=2 ;;
         multivi) filter="multivi" ;;
         *)
             echo "check.sh: unknown determinism mode '${1}'" >&2
@@ -89,15 +86,9 @@ echo "== simbench: smoke test + reference-equality gate (release)"
 # byte-identity fails here, before the PR.
 cargo test --release --offline --locked --manifest-path simbench/Cargo.toml
 
-echo "== determinism suite under the parallel engine (VIAMPI_PAR=2)"
-# Subshell: the mode's exported environment must not leak into later stages.
-(determinism_suite par2)
-
 echo "== determinism suite under the state-machine backend (VIAMPI_ENGINE=sm)"
+# Subshell: the mode's exported environment must not leak into later stages.
 (determinism_suite sm)
-
-echo "== determinism suite under the sharded engine (VIAMPI_SHARDS=2)"
-(determinism_suite shard)
 
 echo "== simcheck campaign frontier (timeboxed, resumes committed coverage)"
 campaign_stage 20

@@ -10,14 +10,12 @@ cd "$(dirname "$0")/.."
 
 echo "== measuring hot paths (bench_hotpaths -> bench_hotpaths_current)"
 echo "   engine mode: ${VIAMPI_ENGINE:-threads}" \
-     "par=${VIAMPI_PAR:-1} shards=${VIAMPI_SHARDS:-1}" \
      "coalesce=$([ -n "${VIAMPI_NO_COALESCE:-}" ] && echo off || echo on)"
 cargo bench -q --offline --locked -p viampi-bench --bench hotpaths -- \
     --json-out bench_hotpaths_current
 
 echo "== checking required benches are present"
-for b in eager_pingpong_pooled queue_wheel_1k queue_due_burst_4k compute_coalesce_1m \
-         par_ring_np8 shard_ring_np64 shard_lbts_round; do
+for b in eager_pingpong_pooled queue_wheel_1k queue_due_burst_4k compute_coalesce_1m; do
     grep -q "\"$b\"" results/bench_hotpaths_current.json || {
         echo "perf_gate: required bench '$b' missing from current record" >&2
         exit 1
